@@ -91,6 +91,7 @@ from .march.simulator import (
     detects_coupling,
     escape_cases,
     run_march,
+    run_march_grid,
 )
 from .memory.array import MemoryArray, Topology
 from .memory.address_faults import AddressFaultKind, AddressFaultMemory
@@ -199,6 +200,7 @@ __all__ = [
     "parse_march",
     "parse_sos",
     "run_march",
+    "run_march_grid",
     "satisfied_relations",
     "single_cell_fp_count",
 ]

@@ -27,6 +27,7 @@ precisely the behaviour partial faults feed on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -335,16 +336,24 @@ class DRAMColumn:
         row.  Bit lines are assumed refreshed by the next precharge and
         are left untouched.
         """
+        for node, factor in self._idle_factors(duration):
+            self.net.set_voltage(node, self.net.voltage(node) * factor)
+
+    def _idle_factors(self, duration: float) -> List[Tuple[str, float]]:
+        """``(node, decay factor)`` of every storage node over an idle time.
+
+        Empty for a zero duration.  Shared by :meth:`idle` and
+        :meth:`GridBatch.idle`, so both scale by the identical factors.
+        """
         if duration < 0:
             raise ValueError("duration must be non-negative")
         if duration == 0:
-            return
-        import math as _math
-
+            return []
         t = self.tech
         # Junction leakage — intrinsic and defect-induced alike — is a
         # thermal mechanism: both double every 10 C.
         thermal = 2.0 ** ((t.temperature - 25.0) / 10.0)
+        factors = []
         for row in range(self.n_rows):
             conductance = 1.0 / t.effective_cell_leak
             if (
@@ -354,14 +363,10 @@ class DRAMColumn:
             ):
                 conductance += thermal / self.defect.resistance
             tau = t.c_cell / conductance
-            factor = _math.exp(-duration / tau)
-            self.net.set_voltage(
-                f"cell{row}", self.net.voltage(f"cell{row}") * factor
-            )
+            factors.append((f"cell{row}", math.exp(-duration / tau)))
         tau_ref = t.effective_cell_leak * t.c_ref_cell
-        self.net.set_voltage(
-            "ref", self.net.voltage("ref") * _math.exp(-duration / tau_ref)
-        )
+        factors.append(("ref", math.exp(-duration / tau_ref)))
+        return factors
 
     def _operation(self, kind: str, row: int, value: Optional[int]) -> Optional[int]:
         if not 0 <= row < self.n_rows:
@@ -840,9 +845,10 @@ class GridBatch:
     so their members cannot share gate trajectories; they are accepted
     only with ``member_gates`` — per-member private
     :class:`~repro.circuit.wordline.WordLineGate` objects, advanced once
-    per phase and instantiated as per-member access connects (the caller
-    then makes every grid *point* its own width-1 member, since the gate
-    trajectory depends on both ``R_def`` and the floating ``U``).
+    per phase and instantiated as per-member access connects
+    (:meth:`tile` then makes every grid *point* its own width-1 member,
+    since the gate trajectory depends on both ``R_def`` and the floating
+    ``U``).
 
     Lanes of one member disagreeing on the sense-amp decision — exactly
     :class:`ColumnBatch`'s :class:`BatchDivergence` — does **not** demote
@@ -865,6 +871,8 @@ class GridBatch:
         point_lanes: Optional[Sequence[Sequence[int]]] = None,
         ens_cache: Optional[Dict[tuple, "NetworkEnsemble"]] = None,
         plan_cache: Optional[Dict[tuple, _PhasePlan]] = None,
+        _ens_cache_max: int = _ENS_CACHE_MAX,
+        _global_ensembles: bool = True,
     ) -> None:
         defect = column.defect
         if not isinstance(defect, OpenDefect):
@@ -951,12 +959,62 @@ class GridBatch:
         self._ens_cache: Dict[tuple, NetworkEnsemble] = (
             ens_cache if ens_cache is not None else {}
         )
+        # A caller whose ensemble keys rarely recur across calls (march
+        # tiles) bounds its own memo tightly and keeps the built stacks out
+        # of the process-global ensemble LRU, which other threads' analyzers
+        # rely on.
+        self._ens_cache_max = _ens_cache_max
+        self._global_ensembles = _global_ensembles
         self._pool_token: Optional[tuple] = None
         net = column.net
         self._i_bc = net.node_index("bc")
         self._i_buf = net.node_index("buf")
         self._i_sa = net.node_index(column._seg_node["sa"])
         self._i_io = net.node_index(column._seg_node["io"])
+
+    @classmethod
+    def tile(
+        cls,
+        column: DRAMColumn,
+        r_values: Sequence[float],
+        lane_states: Sequence[np.ndarray],
+        gate_row: Optional[int] = None,
+        gate_inits: Sequence[float] = (),
+        **kwargs,
+    ) -> "GridBatch":
+        """An ``(R_def × lane)`` tile over shared per-lane initial states.
+
+        The initial states depend on the lane (a swept ``U``, a floating
+        preset) but not on ``R_def``, so one state per lane serves every
+        resistance.  Without ``gate_row`` each ``R_def`` is one member
+        carrying every lane.  With it (word-line opens), the gate
+        trajectory depends on both ``R_def`` (charging resistance) and the
+        lane (initial gate charge ``gate_inits[j]``), so every point
+        becomes its own width-1 member with a private
+        :class:`~repro.circuit.wordline.WordLineGate` on ``gate_row``:
+        member ``i * n_lanes + j`` holds point ``(r_values[i], lane j)``.
+        ``kwargs`` go to the constructor (caches).
+        """
+        if gate_row is None:
+            return cls(
+                column, tuple(r_values), np.stack(lane_states, axis=1),
+                **kwargs,
+            )
+        t = column.tech
+        n_lanes = len(lane_states)
+        member_r = tuple(float(r) for r in r_values for _ in range(n_lanes))
+        states = np.stack(
+            [lane_states[j] for _ in r_values for j in range(n_lanes)]
+        )[:, :, None]
+        member_gates = [
+            {gate_row: WordLineGate(t.c_wl_gate, float(r), gate_inits[j])}
+            for r in r_values for j in range(n_lanes)
+        ]
+        point_lanes = [[j] for _ in r_values for j in range(n_lanes)]
+        return cls(
+            column, member_r, states, member_gates=member_gates,
+            point_lanes=point_lanes, **kwargs,
+        )
 
     # -- member bookkeeping ----------------------------------------------------
 
@@ -1229,6 +1287,7 @@ class GridBatch:
                     tuple(int(l) for l in self._pt_lane[idx])
                     for _, idx in groups
                 ],
+                _global_cache=self._global_ensembles,
             )
             for a, b, base, weighted, post in plan.connects:
                 if weighted:
@@ -1257,7 +1316,7 @@ class GridBatch:
                         )
                         ens.drive_member(g, plan.sa_node, rail, r_sa)
                         ens.drive_member(g, "bc", t.vdd - rail, r_sa)
-            if len(self._ens_cache) >= _ENS_CACHE_MAX:
+            if len(self._ens_cache) >= self._ens_cache_max:
                 self._ens_cache.pop(next(iter(self._ens_cache)))
             self._ens_cache[ens_key] = ens
         try:
@@ -1328,6 +1387,17 @@ class GridBatch:
         self._phase(self.column.tech.t_precharge, active_row=None,
                     precharge=True)
         self._phase(self.column.tech.t_wl_off, active_row=None)
+
+    def idle(self, duration: float) -> None:
+        """Let every point sit unclocked (march ``Del`` elements).
+
+        Scales each storage node by the host column's
+        :meth:`DRAMColumn._idle_factors`, so every point decays exactly as
+        the scalar :meth:`DRAMColumn.idle` would.
+        """
+        net = self.column.net
+        for node, factor in self.column._idle_factors(duration):
+            self.V[net.node_index(node)] *= factor
 
     def _operation(
         self, kind: str, row: int, value: Optional[int]

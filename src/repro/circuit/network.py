@@ -844,6 +844,7 @@ class NetworkEnsemble:
     def __init__(
         self, host: Network, n_members: int, member_meta=None,
         member_lanes: Optional[Sequence[Tuple[int, ...]]] = None,
+        _global_cache: bool = True,
     ) -> None:
         if n_members < 0:
             raise ValueError("n_members must be non-negative")
@@ -861,6 +862,11 @@ class NetworkEnsemble:
         #: state, so a member's columns are a *subset* of the sweep's U
         #: lanes and injectors need the mapping to target one point.
         self._member_lanes = member_lanes
+        #: Whether stacks go through the process-global ensemble LRU.  A
+        #: caller that memoizes built ensembles itself, and whose stacks
+        #: rarely recur elsewhere, opts out; member propagators still go
+        #: through the scalar cache either way.
+        self._global_cache = _global_cache
         self._shared_edges: List[Tuple[int, int, float]] = []
         self._shared_drivers: List[Tuple[int, float, float]] = []
         self._member_edges: List[List[Tuple[int, int, float]]] = [
@@ -1004,7 +1010,7 @@ class NetworkEnsemble:
             return memo[0], memo[1], {}
         member_keys = self._member_keys(duration)
         key = (member_keys,)
-        cached = _ENSEMBLES.lookup(key)
+        cached = _ENSEMBLES.lookup(key) if self._global_cache else None
         if cached is not None:
             phis, offs = cached
             self._prop_memo[duration] = (phis, offs)
@@ -1050,7 +1056,8 @@ class NetworkEnsemble:
         phis.setflags(write=False)
         offs.setflags(write=False)
         if all_finite:
-            _ENSEMBLES.store(key, (phis, offs))
+            if self._global_cache:
+                _ENSEMBLES.store(key, (phis, offs))
             self._prop_memo[duration] = (phis, offs)
         return phis, offs, bad
 
@@ -1209,7 +1216,8 @@ class NetworkEnsemble:
             _PROPAGATORS.evict(self._member_key(m, duration))
             if not evicted_ensemble:
                 evicted_ensemble = True
-                _ENSEMBLES.evict(self._signature(duration))
+                if self._global_cache:
+                    _ENSEMBLES.evict(self._signature(duration))
                 self._prop_memo.pop(duration, None)
         return out, tripped
 
@@ -1294,7 +1302,8 @@ class NetworkEnsemble:
             _PROPAGATORS.evict(self._member_key(m, duration))
             if not evicted_ensemble:
                 evicted_ensemble = True
-                _ENSEMBLES.evict(self._signature(duration))
+                if self._global_cache:
+                    _ENSEMBLES.evict(self._signature(duration))
                 self._prop_memo.pop(duration, None)
         return v_t, tripped
 

@@ -39,7 +39,6 @@ import numpy as np
 
 from .. import telemetry
 from ..circuit.column import BatchDivergence, ColumnBatch, DRAMColumn, GridBatch
-from ..circuit.wordline import WordLineGate
 from ..circuit.defects import FloatingNode, OpenDefect, OpenLocation, floating_nodes
 from ..circuit import network as circuit_network
 from ..circuit.network import GuardPolicy, solver_guards_configure, solver_guards_info
@@ -732,35 +731,11 @@ class ColumnFaultAnalyzer:
                 if gate_row is not None:
                     gate_inits.append(column.gate_voltage(gate_row))
             column.reset(data)
-            if gate_row is not None:
-                # Word-line grid: the gate trajectory depends on both R_def
-                # (charging resistance) and U (initial gate charge), so every
-                # point becomes its own width-1 member with a private gate.
-                t = column.tech
-                n_u = len(u_values)
-                member_r = tuple(float(r) for r in r_values for _ in u_values)
-                states = np.stack(
-                    [lanes[j] for _ in r_values for j in range(n_u)]
-                )[:, :, None]
-                member_gates = [
-                    {gate_row: WordLineGate(
-                        t.c_wl_gate, float(r), gate_inits[j],
-                    )}
-                    for r in r_values for j in range(n_u)
-                ]
-                point_lanes = [[j] for _ in r_values for j in range(n_u)]
-                batch = GridBatch(
-                    column, member_r, states,
-                    member_gates=member_gates, point_lanes=point_lanes,
-                    ens_cache=self._grid_ens_cache,
-                    plan_cache=self._grid_plan_cache,
-                )
-            else:
-                batch = GridBatch(
-                    column, tuple(r_values), np.stack(lanes, axis=1),
-                    ens_cache=self._grid_ens_cache,
-                    plan_cache=self._grid_plan_cache,
-                )
+            batch = GridBatch.tile(
+                column, r_values, lanes, gate_row, gate_inits,
+                ens_cache=self._grid_ens_cache,
+                plan_cache=self._grid_plan_cache,
+            )
             start_k = 0
             if not hook_active:
                 entry = {

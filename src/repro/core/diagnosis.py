@@ -21,12 +21,16 @@ import math
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from ..circuit.defects import FloatingNode, OpenDefect, OpenLocation
+from ..circuit.defects import OpenDefect, OpenLocation
 from ..circuit.technology import Technology
 from ..march.library import MARCH_PF_PLUS
 from ..march.notation import MarchTest
-from ..march.simulator import run_march
-from ..memory.simulator import ElectricalMemory
+from ..march.simulator import (
+    MarchResult,
+    preset_memory,
+    run_march,
+    run_march_grid,
+)
 from .analysis import _R_RANGES
 
 __all__ = [
@@ -161,32 +165,74 @@ class SignatureDatabase:
             lo, hi = _R_RANGES[location]
             decades = math.log10(hi) - math.log10(lo)
             n_points = max(2, int(round(decades * points_per_decade)) + 1)
-            for i in range(n_points):
-                log_r = math.log10(lo) + i * (math.log10(hi) - math.log10(lo)) / (
-                    n_points - 1
+            r_values = [
+                10 ** (
+                    math.log10(lo)
+                    + i * (math.log10(hi) - math.log10(lo)) / (n_points - 1)
                 )
-                resistance = 10 ** log_r
-                signature = self.signature_of(
-                    OpenDefect(location, resistance)
-                )
+                for i in range(n_points)
+            ]
+            signatures = self._tile_signatures(location, r_values)
+            for resistance, signature in zip(r_values, signatures):
                 if signature:
                     self._entries.append((signature, location, resistance))
 
+    @staticmethod
+    def _signature(results: Sequence[MarchResult]) -> Signature:
+        """Normalize one defect's per-preset results into a signature."""
+        return frozenset(
+            (preset, m.element_index, m.address, m.op_index, m.observed)
+            for preset, result in zip(_PRESETS, results)
+            for m in result.mismatches
+        )
+
+    def _tile_signatures(
+        self, location: OpenLocation, r_values: Sequence[float]
+    ) -> List[Signature]:
+        """Signatures of one location's resistances, as one grid tile."""
+        tile = run_march_grid(
+            self.test, location, r_values, _PRESETS,
+            technology=self.technology, n_rows=self.n_rows,
+        )
+        return [self._signature(results) for results in tile]
+
     def signature_of(self, defect: Optional[OpenDefect]) -> Signature:
-        """Collect the diagnostic signature of a (possibly absent) defect."""
-        fails: List[Tuple[float, int, int, int, int]] = []
-        for preset in _PRESETS:
-            memory = ElectricalMemory.with_defect(
-                defect=defect, technology=self.technology, n_rows=self.n_rows
+        """Collect the diagnostic signature of a (possibly absent) defect.
+
+        The scalar reference path; :meth:`signatures_of` batches many
+        defects on the grid engine with identical results.
+        """
+        return self._signature([
+            run_march(
+                self.test,
+                preset_memory(defect, preset, self.technology, self.n_rows),
             )
-            for node in FloatingNode:
-                memory.column.set_floating_voltage(node, preset)
-            result = run_march(self.test, memory)
-            fails.extend(
-                (preset, m.element_index, m.address, m.op_index, m.observed)
-                for m in result.mismatches
+            for preset in _PRESETS
+        ])
+
+    def signatures_of(
+        self, defects: Sequence[Optional[OpenDefect]]
+    ) -> List[Signature]:
+        """``[signature_of(d) for d in defects]``, one grid tile per location.
+
+        Defects that a tile cannot host — ``None`` (the healthy column), a
+        row other than 0, a complementary defect — go through
+        :meth:`signature_of` one by one.
+        """
+        signatures: List[Optional[Signature]] = [None] * len(defects)
+        by_location: Dict[OpenLocation, List[int]] = {}
+        for k, defect in enumerate(defects):
+            if defect is None or defect.row != 0 or not defect.on_true_line:
+                signatures[k] = self.signature_of(defect)
+            else:
+                by_location.setdefault(defect.location, []).append(k)
+        for location, members in by_location.items():
+            tile = self._tile_signatures(
+                location, [defects[k].resistance for k in members]
             )
-        return frozenset(fails)
+            for k, signature in zip(members, tile):
+                signatures[k] = signature
+        return signatures
 
     # -- lookup ----------------------------------------------------------------------
 

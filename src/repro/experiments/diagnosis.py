@@ -58,27 +58,32 @@ def run_diagnosis(
         f"({points_per_decade} points/decade over all nine opens)"
     )
 
+    # Draw every trial first (same rng call order as diagnosing one by
+    # one), then collect all signatures batched per location.
     rng = random.Random(seed)
-    rows: List[Tuple[str, str, str, str]] = []
-    hits = 0
-    trials = 0
-    benign = 0
+    defects: List[OpenDefect] = []
     for _ in range(n_trials):
         location = rng.choice(list(OpenLocation))
         lo, hi = _R_RANGES[location]
         resistance = 10 ** rng.uniform(
             math.log10(lo * 2), math.log10(hi / 2)
         )
-        result = database.diagnose_defect(OpenDefect(location, resistance))
+        defects.append(OpenDefect(location, resistance))
+    rows: List[Tuple[str, str, str, str]] = []
+    hits = 0
+    trials = 0
+    benign = 0
+    for defect, signature in zip(defects, database.signatures_of(defects)):
+        result = database.diagnose(signature)
         if result.healthy:
             benign += 1
             continue
         trials += 1
-        truth = equivalence_class(location)
+        truth = equivalence_class(defect.location)
         correct = truth in result.top_classes
         hits += correct
         rows.append(
-            (f"{location} @ {resistance:.2g}", truth,
+            (f"{defect.location} @ {defect.resistance:.2g}", truth,
              " | ".join(result.top_classes), "OK" if correct else "WRONG")
         )
     report.add_block(

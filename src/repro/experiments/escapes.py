@@ -28,7 +28,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from ..circuit.defects import FloatingNode, OpenDefect, OpenLocation
+from ..circuit.defects import OpenDefect, OpenLocation
 from ..circuit.technology import Technology
 from ..core.analysis import _R_RANGES
 from ..march.library import (
@@ -40,8 +40,7 @@ from ..march.library import (
     MATS_PLUS,
 )
 from ..march.notation import MarchTest
-from ..march.simulator import run_march
-from ..memory.simulator import ElectricalMemory
+from ..march.simulator import TileMemo, preset_memory, run_march, run_march_grid
 from .reporting import ExperimentReport, format_table, instrumented
 
 __all__ = ["EscapeResult", "run_escapes", "sample_defects"]
@@ -72,13 +71,43 @@ def _screen(
     technology: Optional[Technology],
     n_rows: int,
 ) -> bool:
-    """True when the test flags the defect under this floating preset."""
-    memory = ElectricalMemory.with_defect(
-        defect=defect, technology=technology, n_rows=n_rows
-    )
-    for node in FloatingNode:
-        memory.column.set_floating_voltage(node, preset)
+    """True when the test flags the defect under this floating preset.
+
+    The scalar reference for one (test, defect, preset) screen;
+    :func:`run_escapes` screens whole tiles with :func:`run_march_grid`.
+    """
+    memory = preset_memory(defect, preset, technology, n_rows)
     return run_march(test, memory, stop_at_first=True).detected
+
+
+def _screen_population(
+    tests: Sequence[MarchTest],
+    defects: Sequence[OpenDefect],
+    technology: Optional[Technology],
+    n_rows: int,
+) -> List[Dict[str, List[bool]]]:
+    """Per defect, per test: the :func:`_screen` verdict of every preset.
+
+    Location-major: one grid tile per (open location, test) whose members
+    are that location's resistances and whose lanes are the presets; the
+    tiles of one location share a :class:`TileMemo`, dropped afterwards.
+    Verdicts come back in population order.
+    """
+    by_location: Dict[OpenLocation, List[int]] = {}
+    for k, defect in enumerate(defects):
+        by_location.setdefault(defect.location, []).append(k)
+    screened: List[Dict[str, List[bool]]] = [{} for _ in defects]
+    for location, members in by_location.items():
+        memo = TileMemo()
+        r_values = [defects[k].resistance for k in members]
+        for test in tests:
+            tile = run_march_grid(
+                test, location, r_values, _PRESETS, technology=technology,
+                n_rows=n_rows, stop_at_first=True, memo=memo,
+            )
+            for k, results in zip(members, tile):
+                screened[k][test.name] = [r.detected for r in results]
+    return screened
 
 
 @dataclass
@@ -108,16 +137,10 @@ def run_escapes(
     detected: Dict[str, List[bool]] = {test.name: [] for test in tests}
     visible: List[bool] = []
     per_open_visible: Dict[int, int] = {}
-    for defect in defects:
+    screened = _screen_population(tests, defects, technology, n_rows)
+    for defect, per_preset in zip(defects, screened):
         # A tester cannot control floating nodes: guaranteed screening
         # means the test must flag the defect under EVERY initial preset.
-        per_preset = {
-            test.name: [
-                _screen(test, defect, preset, technology, n_rows)
-                for preset in _PRESETS
-            ]
-            for test in tests
-        }
         verdicts = {name: all(hits) for name, hits in per_preset.items()}
         is_visible = any(any(hits) for hits in per_preset.values())
         visible.append(is_visible)

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import IO, Any, Callable, Dict, List, Optional, Tuple
 
 from .circuit.defects import FloatingNode, OpenLocation
 from .core.analysis import PartialFaultFinding, QuarantinedPoint
@@ -52,6 +52,7 @@ __all__ = [
     "dump_survey_unit", "load_survey_unit",
     "dump_completion", "load_completion",
     "CHECKPOINT_CODECS", "CheckpointStore", "JsonlAppender",
+    "fsync_dir", "replace_durably",
 ]
 
 _FORMAT = "repro-v1"
@@ -310,6 +311,37 @@ CHECKPOINT_CODECS: Dict[
     "survey-unit": (dump_survey_unit, load_survey_unit),
     "completion": (dump_completion, load_completion),
 }
+
+
+def fsync_dir(path: str) -> None:
+    """Best-effort directory sync so a rename survives power loss."""
+    try:
+        fd = os.open(path, os.O_RDONLY)
+    except OSError:
+        return
+    try:
+        os.fsync(fd)
+    except OSError:
+        pass
+    finally:
+        os.close(fd)
+
+
+def replace_durably(path: str, write: Callable[[IO[str]], None]) -> None:
+    """Atomically and durably replace ``path`` with what ``write`` emits.
+
+    ``write(fh)`` fills a sibling ``.tmp`` file, which is flushed and
+    ``fsync``-ed before the atomic ``os.replace``; the directory is synced
+    afterwards so the rename itself survives power loss — "atomic"
+    without durable is how torn files happen.
+    """
+    tmp = path + ".tmp"
+    with open(tmp, "w", encoding="utf-8") as fh:
+        write(fh)
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, path)
+    fsync_dir(os.path.dirname(path) or ".")
 
 
 class JsonlAppender:

@@ -46,7 +46,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from ..io import JsonlAppender
+from ..io import JsonlAppender, replace_durably
 
 __all__ = ["JobJournal", "JournalEntry", "JournalStats"]
 
@@ -306,14 +306,12 @@ class JobJournal:
     def _rewrite(self, records: List[Dict[str, Any]]) -> None:
         """Replace the file with ``records`` (caller holds the lock)."""
         self._appender.close()
-        tmp = self.path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
+
+        def write(fh) -> None:
             for record in records:
                 fh.write(json.dumps(record) + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, self.path)
-        _fsync_dir(os.path.dirname(self.path) or ".")
+
+        replace_durably(self.path, write)
         self._appender = JsonlAppender(self.path, fsync=self.fsync)
         self.stats.compactions += 1
         self.stats.records = len(records)
@@ -339,17 +337,3 @@ class JobJournal:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
-
-
-def _fsync_dir(path: str) -> None:
-    """Sync a directory so a just-replaced file survives power loss."""
-    try:
-        fd = os.open(path, os.O_RDONLY)
-    except OSError:
-        return
-    try:
-        os.fsync(fd)
-    except OSError:
-        pass
-    finally:
-        os.close(fd)

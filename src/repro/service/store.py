@@ -52,6 +52,7 @@ from collections import OrderedDict
 from typing import Any, Dict, List, Optional, Tuple
 
 from .. import telemetry
+from ..io import replace_durably
 from ..telemetry import events as event_log
 
 __all__ = ["ResultStore", "ReplicatedResultStore", "payload_digest"]
@@ -67,20 +68,6 @@ def payload_digest(payload: Dict[str, Any]) -> str:
         payload, sort_keys=True, separators=(",", ":")
     ).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()
-
-
-def _fsync_dir(path: str) -> None:
-    """Best-effort directory sync so a rename survives power loss."""
-    try:
-        fd = os.open(path, os.O_RDONLY)
-    except OSError:
-        return
-    try:
-        os.fsync(fd)
-    except OSError:
-        pass
-    finally:
-        os.close(fd)
 
 
 class ResultStore:
@@ -313,14 +300,10 @@ class ResultStore:
                     "digest": payload_digest(payload),
                     "payload": payload,
                 }
-                path = self._path(address)
-                tmp = path + ".tmp"
-                with open(tmp, "w", encoding="utf-8") as fh:
-                    json.dump(document, fh, sort_keys=True)
-                    fh.flush()
-                    os.fsync(fh.fileno())
-                os.replace(tmp, path)
-                _fsync_dir(self.root)
+                replace_durably(
+                    self._path(address),
+                    lambda fh: json.dump(document, fh, sort_keys=True),
+                )
             self._index[address] = time.time()
             self._index.move_to_end(address)
             telemetry.count("service.store.puts")

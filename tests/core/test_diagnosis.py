@@ -68,6 +68,32 @@ class TestSignatures:
         defect = OpenDefect(OpenLocation.CELL, 5e5)
         assert database.signature_of(defect)
 
+    def test_batched_signatures_equal_scalar(self, database, monkeypatch):
+        defects = [
+            OpenDefect(OpenLocation.BL_PRECHARGE_CELLS, 4e5),
+            None,
+            OpenDefect(OpenLocation.WORD_LINE, 3e8),
+            OpenDefect(OpenLocation.CELL, 3e5),
+            OpenDefect(OpenLocation.BL_PRECHARGE_CELLS, 5e3),
+            OpenDefect(OpenLocation.SENSE_AMPLIFIER, 2e6),
+            OpenDefect(OpenLocation.WORD_LINE, 5e9),
+            OpenDefect(OpenLocation.CELL, 3e5, row=1),
+        ]
+        expected = [database.signature_of(d) for d in defects]
+        scalar_calls = []
+        scalar = SignatureDatabase.signature_of
+
+        def recording(self, defect):
+            scalar_calls.append(defect)
+            return scalar(self, defect)
+
+        monkeypatch.setattr(SignatureDatabase, "signature_of", recording)
+        assert database.signatures_of(defects) == expected
+        # Only what a tile cannot host stays scalar: the healthy column
+        # and a defect off row 0.
+        assert scalar_calls == [None, defects[-1]]
+        assert any(expected) and not expected[1]
+
 
 class TestDiagnosis:
     @pytest.mark.parametrize("location,resistance", [

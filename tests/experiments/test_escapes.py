@@ -3,7 +3,13 @@
 import pytest
 
 from repro.circuit.defects import OpenLocation
-from repro.experiments.escapes import _screen, run_escapes, sample_defects
+from repro.experiments.escapes import (
+    _PRESETS,
+    _screen,
+    _screen_population,
+    run_escapes,
+    sample_defects,
+)
 from repro.march.library import MARCH_PF_PLUS, MATS_PLUS
 
 
@@ -37,6 +43,31 @@ class TestScreening:
 
         defect = OpenDefect(OpenLocation.BL_PRECHARGE_CELLS, 3e3)
         assert not _screen(MATS_PLUS, defect, 0.0, None, 3)
+
+
+    def test_population_tiles_match_per_defect_screens(self):
+        from repro.march.library import (
+            MARCH_B, MARCH_C_MINUS, MARCH_PF, MARCH_SS,
+        )
+
+        # run_escapes' default test set.
+        tests = (MATS_PLUS, MARCH_B, MARCH_PF, MARCH_C_MINUS, MARCH_SS,
+                 MARCH_PF_PLUS)
+        defects = sample_defects(20, seed=11)
+        assert len({d.location for d in defects}) > 3
+        expected = [
+            {
+                test.name: [
+                    _screen(test, defect, preset, None, 3)
+                    for preset in _PRESETS
+                ]
+                for test in tests
+            }
+            for defect in defects
+        ]
+        screened = _screen_population(tests, defects, None, 3)
+        assert screened == expected
+        assert any(any(any(v) for v in d.values()) for d in screened)
 
 
 @pytest.mark.slow
