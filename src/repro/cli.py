@@ -165,9 +165,12 @@ _FANNED = frozenset({"fig3", "fig4", "table1", "march"})
 #: touch the analog solver, or only through these).
 _GUARDED = frozenset({"fig3", "fig4", "table1", "march"})
 
-#: Experiments whose sweeps route through the vectorized grid engine
-#: (``--no-grid-engine`` applies to these; march stays per-point because
-#: its early-exit detection is data-dependent per grid point).
+#: Experiments whose analyzer sweeps route through the vectorized grid
+#: engine; ``--no-grid-engine`` switches them to the scalar oracle.  It
+#: does not apply to march tests: escapes and diagnosis always run their
+#: screens as grid tiles (``run_march_grid``, pinned to scalar
+#: ``run_march`` by the test suite), and march's electrical cross-check
+#: has no tile path.
 _GRIDDED = frozenset({"fig3", "fig4", "table1"})
 
 
@@ -1005,9 +1008,9 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--no-grid-engine",
         action="store_true",
-        help="disable the vectorized (R_def, U) grid solver and run the "
-        "scalar/U-batch path instead (ablation/debug; the output is "
-        "identical, see docs/PERFORMANCE.md)",
+        help="disable the vectorized (R_def, U) grid solver and run every "
+        "sweep point through the scalar oracle instead (ablation/debug; "
+        "the output is identical, see docs/PERFORMANCE.md)",
     )
     args = parser.parse_args(argv)
     if args.jobs < 1:
@@ -1092,7 +1095,7 @@ def main(argv=None) -> int:
                 print()
             if args.no_grid_engine and name not in _GRIDDED:
                 print(
-                    f"[note] {name} does not use the grid engine; "
+                    f"[note] {name} has no analyzer sweep; "
                     "--no-grid-engine is ignored (gridded experiments: "
                     + ", ".join(sorted(_GRIDDED)) + ")"
                 )

@@ -38,7 +38,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .. import telemetry
-from ..circuit.column import BatchDivergence, ColumnBatch, DRAMColumn, GridBatch
+from ..circuit.column import DRAMColumn, GridBatch
 from ..circuit.defects import FloatingNode, OpenDefect, OpenLocation, floating_nodes
 from ..circuit import network as circuit_network
 from ..circuit.network import GuardPolicy, solver_guards_configure, solver_guards_info
@@ -65,8 +65,9 @@ __all__ = [
 PROBE_SOSES: Tuple[str, ...] = ("0", "1", "0w0", "0w1", "1w0", "1w1", "0r0", "1r1")
 
 #: The operating point currently being executed, or ``None`` outside a
-#: solve.  ``u`` is a float for scalar execution and a tuple of lane
-#: voltages for a batch.  This is how targeted fault injectors
+#: solve.  ``u`` is a float for scalar execution; a grid tile sets
+#: ``"grid": True`` with tuples of its ``R_def`` and ``U`` values.  This
+#: is how targeted fault injectors
 #: (``repro.inject``) hit one specific grid point.
 _CURRENT_POINT: Optional[Dict] = None
 
@@ -368,7 +369,6 @@ class ColumnFaultAnalyzer:
         victim_row: int = 0,
         grid: Optional[SweepGrid] = None,
         max_cache_entries: Optional[int] = None,
-        batch_u: bool = True,
         grid_engine: bool = True,
         guard_policy: Optional[GuardPolicy] = None,
     ) -> None:
@@ -377,7 +377,6 @@ class ColumnFaultAnalyzer:
         if max_cache_entries is not None and max_cache_entries < 1:
             raise ValueError("max_cache_entries must be positive or None")
         self.location = location
-        self.batch_u = batch_u
         self.grid_engine = grid_engine
         self.technology = technology or default_technology()
         self.n_rows = n_rows
@@ -547,78 +546,6 @@ class ColumnFaultAnalyzer:
         faulty_value = column.logical_state(self.victim_row)
         read_value = last_victim_read if sos.ends_in_read else None
         return faulty_value, read_value
-
-    def _execute_batch(
-        self, sos: SOS, r_def: float, u_values: Sequence[float],
-        floating: Tuple[FloatingNode, ...],
-    ) -> List[Tuple[int, Optional[int]]]:
-        """Run one SOS for many ``U`` values in lock-step; ``(F, R)`` per lane.
-
-        The state presets and operation sequence are identical across the
-        lanes — only the floating-node initialization differs — so one
-        :class:`ColumnBatch` advances every lane per phase.  Raises
-        :class:`BatchDivergence` when a data-dependent branch (sense-amp
-        decision) resolves differently across lanes.
-        """
-        global _CURRENT_POINT
-        _CURRENT_POINT = {
-            "location": self.location, "r_def": r_def, "u": tuple(u_values),
-        }
-        try:
-            return self._execute_batch_inner(sos, r_def, u_values, floating)
-        finally:
-            _CURRENT_POINT = None
-
-    def _execute_batch_inner(
-        self, sos: SOS, r_def: float, u_values: Sequence[float],
-        floating: Tuple[FloatingNode, ...],
-    ) -> List[Tuple[int, Optional[int]]]:
-        column = self.make_column(r_def)
-        init_via_write = FloatingNode.CELL in floating
-        data = self._preset_data(sos, init_via_write)
-        lanes = []
-        for u in u_values:
-            column.reset(data)
-            for node in floating:
-                column.set_floating_voltage(node, u)
-            lanes.append(column.net.state_vector())
-        # Normalize the shared (lane-independent) gate/SA state before the
-        # lock-step run; the per-lane node voltages live in the batch.
-        column.reset(data)
-        batch = ColumnBatch(column, np.stack(lanes, axis=1))
-        ran_anything = False
-        if init_via_write:
-            for init in sos.inits:
-                if init.cell == VICTIM:
-                    batch.write(self.victim_row, init.value)
-                    ran_anything = True
-        last_victim_read: Optional[np.ndarray] = None
-        if not sos.ops and not ran_anything:
-            batch.precharge_cycle()
-        for op in sos.ops:
-            row = self._row_of(op.cell)
-            if op.is_write:
-                batch.write(row, op.value)
-            else:
-                result = batch.read(row)
-                if op.cell == VICTIM:
-                    last_victim_read = result
-        faulty = batch.logical_states(self.victim_row)
-        reads = last_victim_read if sos.ends_in_read else None
-        # Counted on success only: a diverged batch re-runs scalar, and the
-        # scalar path does its own counting (keeps executions == misses).
-        telemetry.count("analyzer.sos_executions", len(u_values))
-        return [
-            (
-                int(faulty[i]),
-                int(reads[i]) if reads is not None else None,
-            )
-            for i in range(len(u_values))
-        ]
-
-    def _grid_supported(self, floating: Tuple[FloatingNode, ...]) -> bool:
-        """Whether the vectorized grid engine may execute this sweep."""
-        return self.batch_u and self.grid_engine
 
     def _wordline_grid(self, floating: Tuple[FloatingNode, ...]) -> bool:
         """Whether this sweep needs per-point word-line gate tracking.
@@ -833,84 +760,62 @@ class ColumnFaultAnalyzer:
     ) -> List[List[Observation]]:
         """Observations for a whole ``(R_def, U)`` tile, one row per ``R``.
 
-        Rows with no cache-resident point are executed together as one
+        Fully cached rows come from the cache.  With the grid engine on,
+        every row with no cached point joins one
         :class:`~repro.circuit.column.GridBatch` (stacked propagators, one
-        matmul per phase for the entire tile); rows with cache hits, and
-        sweeps the grid engine cannot take (word-line dynamics), go
-        through :meth:`observe_batch` per row.  Members the grid demotes
-        re-run per point through the scalar oracle with unchanged
-        guard/quarantine semantics — results are identical either way,
-        the grid is purely an execution strategy.
+        matmul per phase for the entire tile).  Every other row — partly
+        cached, demoted by a guard trip inside the tile, or any row with
+        ``grid_engine=False`` — runs per point through :meth:`observe`,
+        the scalar oracle, with its cache and quarantine semantics.
+        Results are identical either way; the grid is purely an
+        execution strategy.
         """
         floating = _as_nodes(floating)
         r_values = tuple(r_values)
         u_values = tuple(u_values)
-        full_miss: List[int] = []
-        if self._grid_supported(floating) and u_values:
-            for i, r in enumerate(r_values):
-                if all(
-                    self._cache.get((sos, r, u, floating)) is None
-                    for u in u_values
-                ):
-                    full_miss.append(i)
-        outcomes: Dict[int, List[Tuple[int, Optional[int]]]] = {}
-        demoted: Dict[int, str] = {}
-        member_of: Dict[int, int] = {}
-        # A single full-miss row is only worth an ensemble when the
-        # alternative is per-point scalar execution (word-line dynamics);
-        # otherwise ColumnBatch already covers it with less overhead.
-        if len(full_miss) > 1 or (full_miss and self._wordline_grid(floating)):
-            member_of = {row: m for m, row in enumerate(full_miss)}
-            outcomes, demoted = self._execute_grid(
-                sos, [r_values[i] for i in full_miss], u_values, floating
-            )
-        rows: List[List[Observation]] = []
+        rows: List[Optional[List[Observation]]] = []
+        tile: List[int] = []
         for i, r in enumerate(r_values):
-            member = member_of.get(i)
-            if member is None:
-                rows.append(list(self.observe_batch(
-                    sos, r, u_values, floating
-                )))
+            cached = [self._cache.get((sos, r, u, floating)) for u in u_values]
+            if all(obs is not None for obs in cached):
+                n = len(u_values)
+                telemetry.count("analyzer.observe_calls", n)
+                self._cache_hits += n
+                telemetry.count("analyzer.cache_hits", n)
+                rows.append(cached)  # type: ignore[arg-type]
                 continue
-            if member in outcomes:
-                lane_outcomes: List = outcomes[member]
-            else:
-                reason = demoted.get(member, "divergence")
-                telemetry.count("analyzer.batch_fallbacks")
-                telemetry.count("analyzer.grid_demotions")
-                telemetry.count(
-                    "analyzer.grid_fallback_points", len(u_values)
-                )
-                if reason == "guard":
-                    telemetry.count("solver.guard_batch_fallbacks")
-                lane_outcomes = []
-                for u in u_values:
-                    try:
-                        lane_outcomes.append(
-                            self._execute_scalar(sos, r, u, floating)
-                        )
-                    except SolverDivergenceError as err:
-                        if (
-                            self._effective_policy()
-                            is not GuardPolicy.QUARANTINE
-                        ):
-                            raise
-                        lane_outcomes.append(err)
-            row_obs: List[Observation] = []
-            for j, u in enumerate(u_values):
-                telemetry.count("analyzer.observe_calls")
-                self._cache_misses += 1
-                telemetry.count("analyzer.cache_misses")
-                outcome = lane_outcomes[j]
-                if isinstance(outcome, SolverDivergenceError):
-                    obs = self._quarantine(sos, r, u, floating, outcome)
-                else:
-                    faulty_value, read_value = outcome
+            rows.append(None)
+            if self.grid_engine and all(obs is None for obs in cached):
+                tile.append(i)
+        if tile:
+            outcomes, demoted = self._execute_grid(
+                sos, [r_values[i] for i in tile], u_values, floating
+            )
+            for member, i in enumerate(tile):
+                if member not in outcomes:
+                    telemetry.count("analyzer.grid_demotions")
+                    telemetry.count(
+                        "analyzer.grid_fallback_points", len(u_values)
+                    )
+                    if demoted.get(member) == "guard":
+                        telemetry.count("solver.guard_batch_fallbacks")
+                    continue
+                row_obs: List[Observation] = []
+                for u, (faulty_value, read_value) in zip(
+                    u_values, outcomes[member]
+                ):
+                    telemetry.count("analyzer.observe_calls")
+                    self._cache_misses += 1
+                    telemetry.count("analyzer.cache_misses")
                     obs = self._classify(sos, faulty_value, read_value)
-                self._cache_store((sos, r, u, floating), obs)
-                row_obs.append(obs)
-            rows.append(row_obs)
-        return rows
+                    self._cache_store((sos, r_values[i], u, floating), obs)
+                    row_obs.append(obs)
+                rows[i] = row_obs
+        return [
+            row if row is not None
+            else [self.observe(sos, r, u, floating) for u in u_values]
+            for r, row in zip(r_values, rows)
+        ]
 
     def _quarantine(
         self, sos: SOS, r_def: float, u: float,
@@ -963,80 +868,6 @@ class ColumnFaultAnalyzer:
         self._cache_store(key, obs)
         return obs
 
-    def observe_batch(
-        self, sos: SOS, r_def: float, u_values: Sequence[float], floating
-    ) -> List[Observation]:
-        """Observations for one grid column (one ``R_def``, many ``U``).
-
-        Cache-resident points are returned as-is; the misses execute as one
-        lock-step batch when batching applies (more than one miss, and the
-        floating voltage is not the word-line gate, whose per-lane dynamics
-        cannot share a phase configuration).  On :class:`BatchDivergence`
-        the missing lanes silently re-run scalar — results are identical
-        either way, batching is purely an execution strategy.
-        """
-        floating = _as_nodes(floating)
-        u_values = tuple(u_values)
-        observations: List[Optional[Observation]] = []
-        missing: List[int] = []
-        for u in u_values:
-            telemetry.count("analyzer.observe_calls")
-            hit = self._cache.get((sos, r_def, u, floating))
-            if hit is not None:
-                self._cache_hits += 1
-                telemetry.count("analyzer.cache_hits")
-            else:
-                self._cache_misses += 1
-                telemetry.count("analyzer.cache_misses")
-                missing.append(len(observations))
-            observations.append(hit)
-        if not missing:
-            return observations  # type: ignore[return-value]
-        missing_u = tuple(u_values[i] for i in missing)
-        outcomes: Optional[List[Tuple[int, Optional[int]]]] = None
-        if (
-            self.batch_u
-            and len(missing) > 1
-            and FloatingNode.WORD_LINE not in floating
-        ):
-            try:
-                outcomes = self._execute_batch(sos, r_def, missing_u, floating)
-                telemetry.count("analyzer.batch_columns")
-            except BatchDivergence:
-                telemetry.count("analyzer.batch_fallbacks")
-                outcomes = None
-            except SolverDivergenceError:
-                # A guard tripped somewhere in the lock-step batch; under
-                # QUARANTINE re-run the lanes scalar so only the diverging
-                # lane(s) quarantine instead of the whole grid column.
-                if self._effective_policy() is not GuardPolicy.QUARANTINE:
-                    raise
-                telemetry.count("analyzer.batch_fallbacks")
-                telemetry.count("solver.guard_batch_fallbacks")
-                outcomes = None
-        if outcomes is None:
-            outcomes = []
-            for u in missing_u:
-                try:
-                    outcomes.append(
-                        self._execute_scalar(sos, r_def, u, floating)
-                    )
-                except SolverDivergenceError as err:
-                    if self._effective_policy() is not GuardPolicy.QUARANTINE:
-                        raise
-                    outcomes.append(err)
-        for i, outcome in zip(missing, outcomes):
-            if isinstance(outcome, SolverDivergenceError):
-                obs = self._quarantine(
-                    sos, r_def, u_values[i], floating, outcome
-                )
-            else:
-                faulty_value, read_value = outcome
-                obs = self._classify(sos, faulty_value, read_value)
-            self._cache_store((sos, r_def, u_values[i], floating), obs)
-            observations[i] = obs
-        return observations  # type: ignore[return-value]
-
     # -- region maps (Figs. 3 and 4) ---------------------------------------------
 
     def region_map(
@@ -1074,23 +905,6 @@ class ColumnFaultAnalyzer:
             tuple(label_of(obs) for obs in column) for column in tile
         )
         return FPRegionMap(grid.r_values, grid.u_values, rows)
-
-    def region_map_grid(
-        self,
-        sos: SOS,
-        floating,
-        grid: Optional[SweepGrid] = None,
-        label: str = "ffm",
-    ) -> FPRegionMap:
-        """Explicit alias of :meth:`region_map`.
-
-        :meth:`region_map` already routes whole tiles through the
-        vectorized grid engine whenever the sweep supports it (see
-        :meth:`observe_grid`); this name exists so callers can state the
-        intent — and so ``grid_engine=False`` analyzers keep a scalar
-        :meth:`region_map` while tools probing the engine call this.
-        """
-        return self.region_map(sos, floating, grid=grid, label=label)
 
     # -- marginal-point detection ---------------------------------------------
 

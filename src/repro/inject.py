@@ -86,7 +86,7 @@ __all__ = [
 _WATCHED_COUNTERS = (
     "solver.guard_",
     "analyzer.quarantined_points",
-    "analyzer.batch_fallbacks",
+    "analyzer.grid_demotions",
     "parallel.",
     "service.store.",
     "service.journal.",
@@ -147,7 +147,7 @@ class SolverNaNInjector(_HookInjector):
     """Overwrite one node voltage with NaN in the solver output.
 
     ``target=(r_def, u)`` fires whenever the analyzer's current operating
-    point matches (in a batched solve, only the matching ``U`` lane is
+    point matches (in a grid solve, only the matching ``U`` lane is
     corrupted — the other lanes must survive).  ``at_solve=N`` fires at
     the N-th solve (1-based) regardless of operating point.  At least one
     trigger is required.  ``node`` picks the corrupted node row.
@@ -190,31 +190,20 @@ class SolverNaNInjector(_HookInjector):
             # A grid solve calls the hook once per ensemble member with
             # that member's (n_nodes, n_lanes) block; the member's defect
             # resistance rides in the hook info (matching by member index
-            # would break once demotions renumber the stack).  Forked
-            # members carry only a subset of the U lanes, advertised as
-            # original lane indices in info["lanes"].
+            # would break once demotions renumber the stack).  Each
+            # member advertises the original lane index behind each of
+            # its columns in info["lanes"] (a forked member carries only
+            # a subset of the U lanes).
             if info.get("member_r") != r_target:
                 return []
             u = point["u"]
-            lanes = info.get("lanes")
-            if lanes is not None and isinstance(u, tuple):
-                return [
-                    j for j, lane in enumerate(lanes)
-                    if u[lane] == u_target
-                ]
-        elif point["r_def"] != r_target:
+            return [
+                j for j, lane in enumerate(info["lanes"])
+                if u[lane] == u_target
+            ]
+        if point["r_def"] != r_target:
             return []
-        u = point["u"]
-        if isinstance(u, tuple):
-            lanes = info.get("lanes")
-            if lanes is not None:
-                # A forked sub-batch: its columns are a lane subset.
-                return [
-                    j for j, lane in enumerate(lanes)
-                    if u[lane] == u_target
-                ]
-            return [i for i, value in enumerate(u) if value == u_target]
-        return [0] if u == u_target else []
+        return [0] if point["u"] == u_target else []
 
     def _hook(self, v_t: np.ndarray, info: dict) -> np.ndarray:
         self.solves += 1

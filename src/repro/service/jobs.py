@@ -11,12 +11,11 @@ submissions with the same address are the same computation, so the
 queue coalesces them into one job and the result store serves repeats
 without recomputation (``docs/SERVICE.md``).
 
-Execution *hints* — ``jobs`` (worker-process count), ``batch_u`` and
-``grid_engine`` — are deliberately **excluded** from the address: the
-fan-out, the batched U-axis and the stacked ``(R_def, U)`` grid solver
-are bit-identical to their serial/scalar twins (see
-``docs/PERFORMANCE.md``), so a 1-worker and an 8-worker submission of
-the same sweep rightly dedupe to one result.
+Execution *hints* — ``jobs`` (worker-process count) and ``grid_engine``
+— are deliberately **excluded** from the address: the fan-out and the
+stacked ``(R_def, U)`` grid solver are bit-identical to their
+serial/scalar twins (see ``docs/PERFORMANCE.md``), so a 1-worker and an
+8-worker submission of the same sweep rightly dedupe to one result.
 
 :data:`SERVICE_EXPERIMENTS` is the registry the scheduler dispatches
 on: every CLI experiment is servable; the sweep experiments accept grid
@@ -90,7 +89,6 @@ def _run_table1(spec: "JobSpec", resilience: Any) -> Any:
         n_u=spec.resolved_n_u(),
         max_extra_ops=spec.resolved_max_extra_ops(),
         jobs=spec.jobs,
-        batch_u=spec.batch_u,
         grid_engine=spec.grid_engine,
         resilience=resilience,
         guard_policy=spec.resolved_guard_policy(),
@@ -220,7 +218,6 @@ class JobSpec:
     #: Execution hints — identical results for any value (docs/PERFORMANCE.md),
     #: therefore NOT part of the content address.
     jobs: int = 1
-    batch_u: bool = True
     grid_engine: bool = True
 
     def __post_init__(self) -> None:
@@ -399,8 +396,7 @@ class JobSpec:
     def canonical(self) -> Dict[str, Any]:
         """The computation identity: every result-shaping field, resolved.
 
-        Execution hints (``jobs``, ``batch_u``, ``grid_engine``) are
-        absent by design;
+        Execution hints (``jobs``, ``grid_engine``) are absent by design;
         grids appear as their point-exact signatures.
         """
         profile = self.profile()
@@ -447,7 +443,6 @@ class JobSpec:
                 dict(self.technology) if self.technology is not None else None
             ),
             "jobs": self.jobs,
-            "batch_u": self.batch_u,
             "grid_engine": self.grid_engine,
         }
 
@@ -460,7 +455,11 @@ class JobSpec:
         known = {
             "experiment", "opens", "n_r", "n_u", "max_extra_ops",
             "guard_policy", "check_marginal", "technology", "jobs",
-            "batch_u", "grid_engine",
+            "grid_engine",
+            # Legacy execution hint of the removed U-axis batch engine:
+            # accepted with either value and ignored, so recorded specs
+            # still load.
+            "batch_u",
         }
         unknown = sorted(set(data) - known)
         if unknown:
@@ -497,7 +496,6 @@ class JobSpec:
             check_marginal=bool(data.get("check_marginal", False)),
             technology=technology,
             jobs=data.get("jobs", 1),
-            batch_u=bool(data.get("batch_u", True)),
             grid_engine=bool(data.get("grid_engine", True)),
         )
         return spec.validate()

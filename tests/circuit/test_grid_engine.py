@@ -37,6 +37,7 @@ from repro.circuit.network import (
 )
 from repro.core.analysis import ColumnFaultAnalyzer, default_grid_for
 from repro.core.fault_primitives import parse_sos
+from tests.march.test_march_grid import CORNERS
 
 
 @pytest.fixture(autouse=True)
@@ -193,20 +194,30 @@ def _labels(analyzer, sos, floating, grid):
     "location,floating,sos_text",
     [
         (OpenLocation.BL_PRECHARGE_CELLS, FloatingNode.BIT_LINE, "1r1"),
+        (OpenLocation.CELL, FloatingNode.CELL, "0r0"),
         (OpenLocation.SENSE_AMPLIFIER, FloatingNode.BIT_LINE, "0w1"),
         (OpenLocation.WORD_LINE, FloatingNode.WORD_LINE, "1r1"),
+        # Maps that change at vdd x0.9, so a grid ignoring the corner
+        # technology cannot pass.
+        (OpenLocation.SENSE_AMPLIFIER, FloatingNode.REFERENCE_CELL, "1r1"),
+        (OpenLocation.WORD_LINE, FloatingNode.WORD_LINE, "0r0"),
     ],
 )
 def test_region_map_grid_equals_scalar(location, floating, sos_text):
+    # At nominal and at the stressed corners the campaigns run (on the
+    # same grid: campaigns keep the nominal sweep window at every corner).
     grid = default_grid_for(location, n_r=5, n_u=4)
     sos = parse_sos(sos_text)
-    scalar = ColumnFaultAnalyzer(
-        location, grid=grid, batch_u=False, grid_engine=False
-    )
-    gridded = ColumnFaultAnalyzer(location, grid=grid, grid_engine=True)
-    assert _labels(scalar, sos, floating, grid) == _labels(
-        gridded, sos, floating, grid
-    )
+    for corner, technology in sorted(CORNERS.items()):
+        scalar = ColumnFaultAnalyzer(
+            location, technology=technology, grid=grid, grid_engine=False
+        )
+        gridded = ColumnFaultAnalyzer(
+            location, technology=technology, grid=grid, grid_engine=True
+        )
+        assert _labels(scalar, sos, floating, grid) == _labels(
+            gridded, sos, floating, grid
+        ), corner
 
 
 def test_lane_disagreement_forks_instead_of_demoting():
@@ -226,27 +237,31 @@ def test_lane_disagreement_forks_instead_of_demoting():
         telemetry.reset()
     assert counters.get("column.grid_forks", 0) > 0
     assert counters.get("column.grid_demotions", 0) == 0
-    scalar = ColumnFaultAnalyzer(
-        location, grid=grid, batch_u=False, grid_engine=False
-    )
+    scalar = ColumnFaultAnalyzer(location, grid=grid, grid_engine=False)
     assert grid_labels == _labels(scalar, sos, FloatingNode.BIT_LINE, grid)
 
 
 def test_full_survey_grid_equals_scalar():
+    """End to end: findings and regions match for every plan and probe,
+    at nominal and at the stressed corners the campaigns run."""
     location = OpenLocation.BL_SENSEAMP_IO
-    grid = default_grid_for(location, n_r=4, n_u=3)
+    # Five resistances: the survey then differs at vdd x0.9 from nominal.
+    grid = default_grid_for(location, n_r=5, n_u=3)
 
-    def fingerprint(grid_engine):
+    def fingerprint(technology, grid_engine):
         analyzer = ColumnFaultAnalyzer(
-            location, grid=grid, grid_engine=grid_engine,
-            batch_u=grid_engine,
+            location, technology=technology, grid=grid,
+            grid_engine=grid_engine,
         )
         return [
             (f.location, f.floating, f.probe_sos, f.ffm, f.region.labels)
             for f in analyzer.survey()
         ]
 
-    assert fingerprint(True) == fingerprint(False)
+    for corner, technology in sorted(CORNERS.items()):
+        assert fingerprint(technology, True) == fingerprint(
+            technology, False
+        ), corner
 
 
 # -- snapshot/restore and the prefix memo --------------------------------------

@@ -7,6 +7,8 @@ from repro.core.analysis import (
     ColumnFaultAnalyzer,
     PROBE_SOSES,
     SweepGrid,
+    _lin_space,
+    _log_space,
     default_grid_for,
 )
 from repro.core.fault_primitives import parse_sos
@@ -161,3 +163,57 @@ class TestSemantics:
     def test_row_mapping(self, open4):
         assert open4._row_of("v") == open4.victim_row
         assert open4._row_of("BL") != open4.victim_row
+
+
+def test_region_map_returns_cached_and_fresh_points():
+    """A partly cached row runs per point around its cache-resident point;
+    the rows with no cached point run as one grid tile."""
+    location = OpenLocation.BL_PRECHARGE_CELLS
+    grid = default_grid_for(location, n_r=4, n_u=4)
+    sos = parse_sos("1r1")
+    node = FloatingNode.BIT_LINE
+    analyzer = ColumnFaultAnalyzer(location, grid=grid)
+    r = grid.r_values[2]
+    warm = analyzer.observe(sos, r, grid.u_values[1], node)
+    tile = analyzer.observe_grid(sos, grid.r_values, grid.u_values, node)
+    assert tile[2][1] is warm  # cache-resident point returned as-is
+    scalar = ColumnFaultAnalyzer(location, grid=grid, grid_engine=False)
+    for r_def, row in zip(grid.r_values, tile):
+        for u, obs in zip(grid.u_values, row):
+            ref = scalar.observe(sos, r_def, u, node)
+            assert (obs.fp, obs.ffm, obs.faulty_value, obs.read_value) == (
+                ref.fp, ref.ffm, ref.faulty_value, ref.read_value
+            )
+    assert analyzer.region_map(sos, node).labels == scalar.region_map(
+        sos, node
+    ).labels
+
+
+# -- axis guards (regression: silent (lo,) truncation) -------------------------
+
+@pytest.mark.parametrize("space", [_log_space, _lin_space])
+def test_degenerate_axis_raises_instead_of_truncating(space):
+    with pytest.raises(ValueError):
+        space(1.0, 2.0, 1)
+    with pytest.raises(ValueError):
+        space(1.0, 2.0, 0)
+
+
+@pytest.mark.parametrize("space", [_log_space, _lin_space])
+def test_single_point_axis_allowed_when_degenerate_range(space):
+    assert space(2.0, 2.0, 1) == (2.0,)
+
+
+def test_axis_endpoints_preserved():
+    assert _lin_space(0.0, 3.3, 12)[0] == 0.0
+    assert _lin_space(0.0, 3.3, 12)[-1] == pytest.approx(3.3)
+    log = _log_space(1e3, 1e6, 7)
+    assert log[0] == pytest.approx(1e3)
+    assert log[-1] == pytest.approx(1e6)
+
+
+def test_sweep_grid_make_rejects_collapsed_axis():
+    with pytest.raises(ValueError):
+        SweepGrid.make(n_r=1)
+    with pytest.raises(ValueError):
+        SweepGrid.make(n_u=1)

@@ -27,7 +27,7 @@ class TestContentAddress:
     def test_execution_hints_do_not_change_the_address(self):
         spec = JobSpec("table1", opens=("CELL",), n_r=4, n_u=3)
         assert spec.with_jobs(8).address == spec.address
-        assert replace(spec, batch_u=False).address == spec.address
+        assert replace(spec, grid_engine=False).address == spec.address
 
     def test_grid_change_changes_the_address(self):
         base = JobSpec("table1", opens=("CELL",), n_r=4, n_u=3)
@@ -108,9 +108,30 @@ class TestJsonRoundTrip:
         spec = JobSpec(
             "table1", opens=("CELL",), n_r=4, n_u=3, max_extra_ops=2,
             guard_policy="quarantine", check_marginal=True, jobs=2,
-            batch_u=False,
+            grid_engine=False,
         )
         assert JobSpec.from_json(spec.to_json()) == spec
+
+    def test_recorded_spec_with_legacy_batch_u_keeps_its_address(self):
+        # A served Table 1 corner job recorded while specs still carried
+        # the retired ``batch_u`` execution hint.  The key is accepted
+        # with either value and ignored, so journals and stores written
+        # back then replay under the same ids.
+        recorded = {
+            "batch_u": True, "check_marginal": False,
+            "experiment": "table1", "grid_engine": True,
+            "guard_policy": None, "jobs": 1, "max_extra_ops": None,
+            "n_r": 8, "n_u": 6, "opens": ["BL_PRECHARGE_CELLS"],
+            "technology": {
+                "t_io_sample": 1.4e-09, "t_precharge": 3.5e-09,
+                "t_sense": 1.4e-08, "t_share": 1.0499999999999999e-09,
+                "t_write": 3.5e-09,
+            },
+        }
+        for batch_u in (True, False):
+            spec = JobSpec.from_json({**recorded, "batch_u": batch_u})
+            assert spec.address == "015ca8b75e925795"
+            assert "batch_u" not in spec.to_json()
 
     def test_unknown_field_rejected(self):
         with pytest.raises(SpecValidationError):
