@@ -953,9 +953,9 @@ def main(argv=None) -> int:
         default=1,
         metavar="N",
         help="worker processes for the sweep experiments fig3/fig4/"
-        "table1/march (default 1: serial, byte-identical to the "
-        "pre-parallel output); the other experiments run serially and "
-        "print a notice",
+        "table1/march (default 1: the same work units in-process; "
+        "output is identical for any N); the other experiments run "
+        "serially and print a notice",
     )
     parser.add_argument(
         "--checkpoint",

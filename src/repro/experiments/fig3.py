@@ -22,10 +22,11 @@ from typing import Optional
 from ..circuit.defects import FloatingNode, OpenLocation
 from ..circuit.network import GuardPolicy
 from ..circuit.technology import Technology
-from ..core.analysis import ColumnFaultAnalyzer, default_grid_for
+from ..core.analysis import default_grid_for
 from ..core.fault_primitives import parse_fp, parse_sos
 from ..core.ffm import FFM
 from ..core.regions import FPRegionMap
+from ..parallel import AnalyzerSpec, parallel_map, region_map_unit
 from .reporting import ExperimentReport, guards_block, instrumented
 
 __all__ = ["Fig3Result", "run_fig3"]
@@ -70,8 +71,10 @@ def run_fig3(
 ) -> Fig3Result:
     """Regenerate Fig. 3(a) and 3(b).
 
-    ``jobs > 1`` computes the two region maps in parallel worker
-    processes; the maps are identical to the serial run.  ``resilience``
+    The two region maps are two units of
+    :func:`repro.parallel.parallel_map`: in-process at ``jobs=1`` (both
+    maps share one analyzer), in worker processes otherwise; the maps
+    are identical for any ``jobs``.  ``resilience``
     (see ``docs/ROBUSTNESS.md``) adds unit retry/fallback and
     checkpoint/resume of the two maps; a map that fails every recovery
     attempt raises, since the figure cannot be built without it.
@@ -84,41 +87,25 @@ def run_fig3(
     """
     grid = default_grid_for(OpenLocation.BL_PRECHARGE_CELLS, n_r=n_r, n_u=n_u)
     completed_fp = parse_fp(COMPLETED_FP_TEXT)
-    if jobs > 1 or resilience is not None:
-        from ..parallel import AnalyzerSpec, parallel_map, region_map_unit
-
-        spec = AnalyzerSpec(
-            OpenLocation.BL_PRECHARGE_CELLS, technology=technology, grid=grid,
-            grid_engine=grid_engine, guard_policy=guard_policy,
-        )
-        partial_map, completed_map = parallel_map(
-            region_map_unit,
-            [
-                (spec, parse_sos("1r1"), FloatingNode.BIT_LINE),
-                (spec, completed_fp.sos, FloatingNode.BIT_LINE),
-            ],
-            jobs=jobs,
-            policy=resilience.policy if resilience is not None else None,
-            checkpoint=(
-                resilience.checkpoint if resilience is not None else None
-            ),
-            keys=[
-                f"fig3|partial|grid={grid.signature()}",
-                f"fig3|completed|grid={grid.signature()}",
-            ],
-            codec="region-map",
-        )
-    else:
-        analyzer = ColumnFaultAnalyzer(
-            OpenLocation.BL_PRECHARGE_CELLS, technology=technology, grid=grid,
-            grid_engine=grid_engine, guard_policy=guard_policy,
-        )
-        partial_map = analyzer.region_map(
-            parse_sos("1r1"), FloatingNode.BIT_LINE
-        )
-        completed_map = analyzer.region_map(
-            completed_fp.sos, FloatingNode.BIT_LINE
-        )
+    spec = AnalyzerSpec(
+        OpenLocation.BL_PRECHARGE_CELLS, technology=technology, grid=grid,
+        grid_engine=grid_engine, guard_policy=guard_policy,
+    )
+    partial_map, completed_map = parallel_map(
+        region_map_unit,
+        [
+            (spec, parse_sos("1r1"), FloatingNode.BIT_LINE),
+            (spec, completed_fp.sos, FloatingNode.BIT_LINE),
+        ],
+        jobs=jobs,
+        policy=resilience.policy if resilience is not None else None,
+        checkpoint=resilience.checkpoint if resilience is not None else None,
+        keys=[
+            f"fig3|partial|grid={grid.signature()}",
+            f"fig3|completed|grid={grid.signature()}",
+        ],
+        codec="region-map",
+    )
 
     report = ExperimentReport("Figure 3 — bit-line open (Open 4), RDF1")
     report.add_block("Fig. 3(a): S = 1r1\n" + partial_map.render_ascii())

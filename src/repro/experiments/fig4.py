@@ -23,10 +23,11 @@ from typing import Optional
 from ..circuit.defects import FloatingNode, OpenLocation
 from ..circuit.network import GuardPolicy
 from ..circuit.technology import Technology
-from ..core.analysis import ColumnFaultAnalyzer, default_grid_for
+from ..core.analysis import default_grid_for
 from ..core.fault_primitives import parse_fp, parse_sos
 from ..core.ffm import FFM
 from ..core.regions import FPRegionMap
+from ..parallel import AnalyzerSpec, parallel_map, region_map_unit
 from .reporting import ExperimentReport, guards_block, instrumented
 
 __all__ = ["Fig4Result", "run_fig4"]
@@ -72,8 +73,10 @@ def run_fig4(
 ) -> Fig4Result:
     """Regenerate Fig. 4(a) and 4(b).
 
-    ``jobs > 1`` computes the two region maps in parallel worker
-    processes; the maps are identical to the serial run.  ``resilience``
+    The two region maps are two units of
+    :func:`repro.parallel.parallel_map`: in-process at ``jobs=1`` (both
+    maps share one analyzer), in worker processes otherwise; the maps
+    are identical for any ``jobs``.  ``resilience``
     (see ``docs/ROBUSTNESS.md``) adds unit retry/fallback and
     checkpoint/resume of the two maps; a map that fails every recovery
     attempt raises, since the figure cannot be built without it.
@@ -86,39 +89,25 @@ def run_fig4(
     """
     grid = default_grid_for(OpenLocation.CELL, n_r=n_r, n_u=n_u)
     completed_fp = parse_fp(COMPLETED_FP_TEXT)
-    if jobs > 1 or resilience is not None:
-        from ..parallel import AnalyzerSpec, parallel_map, region_map_unit
-
-        spec = AnalyzerSpec(
-            OpenLocation.CELL, technology=technology, grid=grid,
-            grid_engine=grid_engine, guard_policy=guard_policy,
-        )
-        partial_map, completed_map = parallel_map(
-            region_map_unit,
-            [
-                (spec, parse_sos("0r0"), FloatingNode.CELL),
-                (spec, completed_fp.sos, FloatingNode.CELL),
-            ],
-            jobs=jobs,
-            policy=resilience.policy if resilience is not None else None,
-            checkpoint=(
-                resilience.checkpoint if resilience is not None else None
-            ),
-            keys=[
-                f"fig4|partial|grid={grid.signature()}",
-                f"fig4|completed|grid={grid.signature()}",
-            ],
-            codec="region-map",
-        )
-    else:
-        analyzer = ColumnFaultAnalyzer(
-            OpenLocation.CELL, technology=technology, grid=grid,
-            grid_engine=grid_engine, guard_policy=guard_policy,
-        )
-        partial_map = analyzer.region_map(parse_sos("0r0"), FloatingNode.CELL)
-        completed_map = analyzer.region_map(
-            completed_fp.sos, FloatingNode.CELL
-        )
+    spec = AnalyzerSpec(
+        OpenLocation.CELL, technology=technology, grid=grid,
+        grid_engine=grid_engine, guard_policy=guard_policy,
+    )
+    partial_map, completed_map = parallel_map(
+        region_map_unit,
+        [
+            (spec, parse_sos("0r0"), FloatingNode.CELL),
+            (spec, completed_fp.sos, FloatingNode.CELL),
+        ],
+        jobs=jobs,
+        policy=resilience.policy if resilience is not None else None,
+        checkpoint=resilience.checkpoint if resilience is not None else None,
+        keys=[
+            f"fig4|partial|grid={grid.signature()}",
+            f"fig4|completed|grid={grid.signature()}",
+        ],
+        codec="region-map",
+    )
 
     report = ExperimentReport("Figure 4 — memory-cell open (Open 1), RDF0")
     report.add_block("Fig. 4(a): S = 0r0\n" + partial_map.render_ascii())

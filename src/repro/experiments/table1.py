@@ -31,6 +31,9 @@ from ..core.analysis import (
 from ..core.completion import complete_fault
 from ..core.fault_primitives import FaultPrimitive
 from ..core.ffm import FFM
+from ..parallel import (
+    AnalyzerSpec, parallel_map_ex, survey_locations, unit_analyzer,
+)
 from .reporting import (
     ExperimentReport,
     format_table,
@@ -127,22 +130,46 @@ class Table1Result:
     quarantined: List[QuarantinedPoint] = field(default_factory=list)
 
 
-def _completion_unit(payload) -> Optional[FaultPrimitive]:
+def _completion_unit(
+    payload,
+) -> Tuple[Optional[FaultPrimitive], List[QuarantinedPoint]]:
     """Search completing operations for one finding (worker side).
 
     The completion search is a pure function of the analyzer
-    configuration and the finding, so a cold-cache worker reproduces the
-    serial result exactly.
+    configuration and the finding, so a cold-cache worker reproduces an
+    in-process result exactly.  Returns the completed FP (``None``:
+    ``Not possible``) and the grid points the search quarantined.
     """
     spec, finding, max_extra_ops = payload
-    analyzer = spec.build()
+    analyzer = unit_analyzer(spec)
+    held = len(analyzer.quarantined)
     outcome = complete_fault(
         analyzer,
         finding,
         max_extra_ops=max_extra_ops,
         grid=analyzer.grid.coarser(2, 2),
     )
-    return outcome.completed_fp
+    return outcome.completed_fp, analyzer.quarantined[held:]
+
+
+def _completion_unit_key(
+    location: OpenLocation, finding, grid, max_extra_ops: int
+) -> str:
+    """Stable checkpoint key for one completion-search unit."""
+    plan = "+".join(node.name for node in finding.floating)
+    return (
+        f"completion|{location.name}|{finding.ffm.name}|{plan}"
+        f"|{finding.probe_sos.to_string()}|grid={grid.signature()}"
+        f"|ops={max_extra_ops}"
+    )
+
+
+def _point_order(point: QuarantinedPoint):
+    return (
+        point.location.number,
+        tuple(node.name for node in point.floating),
+        point.sos, point.r_def, point.u, point.guard, point.detail,
+    )
 
 
 @instrumented("table1")
@@ -160,121 +187,34 @@ def run_table1(
 ) -> Table1Result:
     """Regenerate Table 1 by full defect-injection analysis.
 
-    ``jobs`` fans the ``(location, plan, probe)`` surveys and the
-    completion searches out over worker processes; the inventory is
-    identical for any value (``jobs=1``, the default, runs the original
-    in-process loop).  ``grid_engine=False`` disables the stacked
-    ``(R_def, U)`` tile solver and runs every point through the scalar
-    oracle — the inventory is identical either way.
+    Stage 1 surveys every ``(location, plan, probe)`` unit; the findings
+    come back in nested-loop order, so the ``(ffm, plan)`` deduplication
+    selects the same representatives for any ``jobs``.  Stage 2 searches
+    completing operations, one unit per kept finding.  Both stages run
+    through :func:`repro.parallel.parallel_map_ex`: in-process at
+    ``jobs=1`` (the default), over ``jobs`` worker processes otherwise.
+    Units are pure, so the inventory and report are identical for any
+    ``jobs``.  ``grid_engine=False`` disables the stacked ``(R_def, U)``
+    tile solver and runs every point through the scalar oracle — the
+    inventory is identical either way.
 
     ``resilience`` (a :class:`repro.parallel.Resilience`) turns on unit
     retry/timeout/fallback recovery and, with a checkpoint store,
     incremental persistence and resume of finished units (see
-    ``docs/ROBUSTNESS.md``); it routes ``jobs=1`` through the same unit
-    decomposition, which by unit purity yields the identical inventory.
+    ``docs/ROBUSTNESS.md``); a completion unit that fails anyway is
+    reported as a :class:`~repro.parallel.UnitFailure` and its row keeps
+    ``completed=None`` (rendered like ``Not possible`` — check the
+    failure summary before reading such a row as a verdict).
 
     ``guard_policy`` selects what a solver guard trip does at each grid
     point (``GuardPolicy.QUARANTINE`` records the point on
-    ``result.quarantined`` and keeps going); ``check_marginal`` re-tests
+    ``result.quarantined`` — once, sorted by open, floating nodes, SOS,
+    ``R_def`` and ``U`` — and keeps going); ``check_marginal`` re-tests
     each finding's region-boundary points under ±ε U jitter and reports
     the flip count per inventory row.  Both default off, leaving the
     default run's output untouched.
     """
     locations = tuple(opens) if opens is not None else tuple(OpenLocation)
-    if jobs > 1 or resilience is not None:
-        return _run_table1_parallel(
-            locations, technology, n_r, n_u, max_extra_ops, jobs,
-            grid_engine, resilience, guard_policy, check_marginal,
-        )
-    rows: List[InventoryRow] = []
-    quarantined: List[QuarantinedPoint] = []
-    for location in locations:
-        analyzer = ColumnFaultAnalyzer(
-            location,
-            technology=technology,
-            grid=default_grid_for(location, n_r=n_r, n_u=n_u),
-            grid_engine=grid_engine,
-            guard_policy=guard_policy,
-        )
-        seen: set = set()
-        for plan in analyzer.sweep_plans():
-            for finding in analyzer.survey(plan):
-                if not finding.is_partial:
-                    continue
-                key = (finding.ffm, plan)
-                if key in seen:
-                    continue
-                seen.add(key)
-                outcome = complete_fault(
-                    analyzer,
-                    finding,
-                    max_extra_ops=max_extra_ops,
-                    grid=analyzer.grid.coarser(2, 2),
-                )
-                marginal = (
-                    len(analyzer.marginal_points(
-                        finding.probe_sos, plan, finding.region
-                    ))
-                    if check_marginal else None
-                )
-                rows.append(
-                    InventoryRow(
-                        ffm_sim=finding.ffm,
-                        ffm_com=finding.ffm.complement(),
-                        open_number=location.number,
-                        completed=outcome.completed_fp,
-                        floating=finding.floating_label,
-                        marginal=marginal,
-                    )
-                )
-        quarantined.extend(analyzer.quarantined)
-    report, matches = _compare(
-        rows, locations, quarantined=quarantined,
-        check_marginal=check_marginal,
-    )
-    return Table1Result(rows, report, matches, quarantined=quarantined)
-
-
-def _completion_unit_key(
-    location: OpenLocation, finding, grid, max_extra_ops: int
-) -> str:
-    """Stable checkpoint key for one completion-search unit."""
-    plan = "+".join(node.name for node in finding.floating)
-    return (
-        f"completion|{location.name}|{finding.ffm.name}|{plan}"
-        f"|{finding.probe_sos.to_string()}|grid={grid.signature()}"
-        f"|ops={max_extra_ops}"
-    )
-
-
-def _run_table1_parallel(
-    locations: Tuple[OpenLocation, ...],
-    technology: Optional[Technology],
-    n_r: int,
-    n_u: int,
-    max_extra_ops: int,
-    jobs: int,
-    grid_engine: bool = True,
-    resilience=None,
-    guard_policy: Optional[GuardPolicy] = None,
-    check_marginal: bool = False,
-) -> Table1Result:
-    """The fan-out twin of :func:`run_table1`'s serial loop.
-
-    Stage 1 surveys every ``(location, plan, probe)`` unit; the findings
-    come back in the serial nested-loop order, so the ``(ffm, plan)``
-    deduplication selects the same representatives.  Stage 2 fans the
-    completion searches out per kept finding.  Both stages are pure per
-    unit, so the assembled inventory matches ``jobs=1`` exactly.
-
-    With ``resilience``, both stages retry/fall back per the policy and
-    checkpoint finished units; a completion unit that fails anyway is
-    reported as a :class:`~repro.parallel.UnitFailure` and its row keeps
-    ``completed=None`` (rendered like ``Not possible`` — check the
-    failure summary before reading such a row as a verdict).
-    """
-    from ..parallel import AnalyzerSpec, parallel_map_ex, survey_locations
-
     outcome = survey_locations(
         locations, jobs=jobs, technology=technology, n_r=n_r, n_u=n_u,
         grid_engine=grid_engine, resilience=resilience,
@@ -318,11 +258,19 @@ def _run_table1_parallel(
         codec="completion",
         strict=resilience is None,
     ).results
+    quarantined = set(outcome.quarantined)
+    completed_fps: List[Optional[FaultPrimitive]] = []
+    for result in completed:
+        # A failed unit leaves None; a checkpoint record written before
+        # completion units kept their quarantines holds the bare verdict.
+        fp, points = result if isinstance(result, tuple) else (result, [])
+        completed_fps.append(fp)
+        quarantined.update(points)
     marginal_counts: List[Optional[int]] = [None] * len(kept)
     if check_marginal:
-        # The marginal check re-observes boundary points serially; one
+        # The marginal check re-observes boundary points in-process; one
         # analyzer per location shares its observation cache across that
-        # location's findings (same counts as the jobs=1 path).
+        # location's findings.
         analyzers: Dict[OpenLocation, ColumnFaultAnalyzer] = {}
         for index, (location, finding) in enumerate(kept):
             analyzer = analyzers.get(location)
@@ -338,6 +286,8 @@ def _run_table1_parallel(
             marginal_counts[index] = len(analyzer.marginal_points(
                 finding.probe_sos, finding.floating, finding.region
             ))
+        for analyzer in analyzers.values():
+            quarantined.update(analyzer.quarantined)
     rows = [
         InventoryRow(
             ffm_sim=finding.ffm,
@@ -348,15 +298,13 @@ def _run_table1_parallel(
             marginal=marginal,
         )
         for (location, finding), completed_fp, marginal
-        in zip(kept, completed, marginal_counts)
+        in zip(kept, completed_fps, marginal_counts)
     ]
+    points = sorted(quarantined, key=_point_order)
     report, matches = _compare(
-        rows, locations, quarantined=outcome.quarantined,
-        check_marginal=check_marginal,
+        rows, locations, quarantined=points, check_marginal=check_marginal,
     )
-    return Table1Result(
-        rows, report, matches, quarantined=list(outcome.quarantined)
-    )
+    return Table1Result(rows, report, matches, quarantined=points)
 
 
 def _compare(

@@ -287,14 +287,30 @@ def load_survey_unit(data: Dict[str, Any]):
     )
 
 
-def dump_completion(fp: Optional[FaultPrimitive]) -> Dict[str, Any]:
-    """A completion-search verdict (``None`` encodes ``Not possible``)."""
-    return _tagged({"fp": None if fp is None else dump_fp(fp)}, "completion")
+def dump_completion(fp) -> Dict[str, Any]:
+    """A completion-search verdict (``None`` encodes ``Not possible``).
+
+    ``fp`` is the bare verdict, or the ``(verdict, quarantined)`` pair a
+    Table 1 completion unit returns.
+    """
+    verdict, quarantined = fp if isinstance(fp, tuple) else (fp, None)
+    data: Dict[str, Any] = {
+        "fp": None if verdict is None else dump_fp(verdict)
+    }
+    if quarantined is not None:
+        data["quarantined"] = [dump_quarantined_point(q) for q in quarantined]
+    return _tagged(data, "completion")
 
 
-def load_completion(data: Dict[str, Any]) -> Optional[FaultPrimitive]:
+def load_completion(data: Dict[str, Any]):
+    """The verdict, or the ``(verdict, quarantined)`` pair when the
+    record has a quarantine list (records written before completion
+    units kept their quarantines do not)."""
     data = _check(data, "completion")
-    return None if data["fp"] is None else load_fp(data["fp"])
+    fp = None if data["fp"] is None else load_fp(data["fp"])
+    if "quarantined" not in data:
+        return fp
+    return fp, [load_quarantined_point(q) for q in data["quarantined"]]
 
 
 def _identity(value: Any) -> Any:

@@ -4,17 +4,18 @@ The experiments fan out along natural unit boundaries — one
 ``(location, plan, probe)`` survey per unit for Table 1, one region map
 per unit for Figs. 3/4, one ``(test, defect point)`` per unit for the
 march cross-validation — and every unit is a *pure function* of its
-pickled payload: a worker rebuilds its analyzer from an
+pickled payload: a worker builds its analyzer from an
 :class:`AnalyzerSpec`, runs, and returns plain result objects.  That
 purity is what makes ``--jobs N`` deterministic: the result of a unit
 does not depend on which worker ran it, how warm that worker's
-propagator cache was, or in what order units completed; the parent
-always merges results in submission order.
+analyzer or propagator cache was, or in what order units completed;
+the parent always merges results in submission order.
 
-``jobs=1`` never touches a process pool: :func:`parallel_map` degrades
-to an in-process loop and the experiment modules keep their original
-serial code paths, so no-flag output stays byte-identical to the
-pre-parallel implementation.
+Every ``jobs`` value runs the same units: :func:`parallel_map_ex` is the
+one place that picks in-process execution (``jobs=1``) or a process
+pool.  In-process units reuse the previous unit's analyzer when its spec
+is equal (:func:`unit_analyzer`), so a run at ``jobs=1`` keeps one warm
+analyzer per open, as a plain serial loop would.
 
 Purity is also what makes the fan-out *resilient* (see
 ``docs/ROBUSTNESS.md``): a unit that crashed, timed out, or died with
@@ -104,6 +105,7 @@ __all__ = [
     "region_map_unit",
     "survey_locations",
     "survey_unit_key",
+    "unit_analyzer",
     "add_progress_listener",
     "remove_progress_listener",
 ]
@@ -220,6 +222,41 @@ class AnalyzerSpec:
                 "a GuardPolicy member or None",
             )
         return self
+
+
+# -- per-thread analyzer reuse -------------------------------------------------
+#
+# Consecutive units usually share an AnalyzerSpec: the survey units of one
+# open, both maps of a figure, the completion searches of one open.  A
+# fresh analyzer per unit would throw away its observation and tile
+# caches between them.  One entry per thread, so concurrent scheduler
+# threads never share an analyzer.  The entry is dropped when a unit
+# raises (a retry must not inherit half-done state) and when
+# parallel_map_ex returns (separate runs never share observation caches).
+
+_analyzer_local = threading.local()
+
+
+def unit_analyzer(spec: AnalyzerSpec) -> ColumnFaultAnalyzer:
+    """The analyzer for ``spec``: the one the previous unit in this
+    thread used when its spec was equal, else a newly built one.
+
+    Units must report analyzer state (quarantined points, cache counts)
+    as the change over their own run, not the analyzer's totals.
+    """
+    held = getattr(_analyzer_local, "held", None)
+    if held is None or held[0] != spec:
+        held = _analyzer_local.held = (spec, spec.build())
+    return held[1]
+
+
+def _call_unit(func: Callable[[Any], Any], payload: Any) -> Any:
+    """Run one unit; a unit that raises drops the reused analyzer."""
+    try:
+        return func(payload)
+    except BaseException:
+        _analyzer_local.held = None
+        raise
 
 
 @dataclass(frozen=True)
@@ -459,11 +496,11 @@ def _run_unit(func: Callable[[Any], Any], payload: Any,
     fan-out's trace context.
     """
     if not telemetry_on:
-        return func(payload), None, None
+        return _call_unit(func, payload), None, None
     telemetry.reset()
     telemetry.enable()
     try:
-        result = func(payload)
+        result = _call_unit(func, payload)
     finally:
         telemetry.disable()
     return (
@@ -587,7 +624,7 @@ class _FanoutRun:
         while True:
             self.attempts[index] = self.attempts.get(index, 0) + 1
             try:
-                result = self.func(self.payloads[index])
+                result = _call_unit(self.func, self.payloads[index])
             except Exception as exc:  # noqa: BLE001 — unit code is arbitrary
                 if with_retries and (
                     self.attempts[index] <= self.policy.max_retries
@@ -830,11 +867,14 @@ def parallel_map_ex(
         func, payloads, policy, checkpoint, keys, codec, outcome, strict
     )
     run.completed.update(index for index in range(n) if done[index])
-    if jobs <= 1 or len(pending) <= 1:
-        for index in pending:
-            run.run_in_process(index, with_retries=True)
-    else:
-        _run_pool(run, pending, jobs)
+    try:
+        if jobs <= 1 or len(pending) <= 1:
+            for index in pending:
+                run.run_in_process(index, with_retries=True)
+        else:
+            _run_pool(run, pending, jobs)
+    finally:
+        _analyzer_local.held = None
     return finish()
 
 
@@ -876,7 +916,7 @@ def region_map_unit(payload):
     :class:`~repro.core.regions.FPRegionMap`.
     """
     spec, sos, floating = payload
-    return spec.build().region_map(sos, floating)
+    return unit_analyzer(spec).region_map(sos, floating)
 
 
 # -- survey fan-out (Table 1 shape) --------------------------------------------
@@ -888,15 +928,17 @@ def _survey_unit(unit: SurveyUnit) -> Tuple[
     """Run one survey unit; return findings plus per-unit cache deltas
     and any grid points the unit's guards quarantined."""
     before = propagator_cache_info()
-    analyzer = unit.spec.build()
+    analyzer = unit_analyzer(unit.spec)
+    start = analyzer.cache_info()
+    held = len(analyzer.quarantined)
     findings = analyzer.survey(floating=unit.plan, probes=(unit.probe,))
     info = analyzer.cache_info()
     after = propagator_cache_info()
     return (
         findings,
-        (info.hits, info.misses),
+        (info.hits - start.hits, info.misses - start.misses),
         (after.hits - before.hits, after.misses - before.misses),
-        analyzer.quarantined,
+        analyzer.quarantined[held:],
     )
 
 
@@ -930,22 +972,21 @@ def survey_locations(
 ) -> SurveyOutcome:
     """Survey every ``(location, plan, probe)`` unit, optionally in parallel.
 
-    The returned findings are ordered exactly as the serial nested loop
-    (locations -> sweep plans -> probes) would produce them, so callers
-    that deduplicate or rank findings see the same sequence for any
-    ``jobs``.  With ``jobs=1`` each location keeps one analyzer across
-    all of its plans and probes (the original serial path, sharing one
-    observation cache); with ``jobs > 1`` each unit rebuilds a fresh
-    analyzer in its worker — observations are pure functions of the
-    operating point, so the results are identical either way.
+    The returned findings are ordered as the nested loop locations ->
+    sweep plans -> probes, so callers that deduplicate or rank findings
+    see the same sequence for any ``jobs``.  Every ``jobs`` value runs
+    the same units through :func:`parallel_map_ex`: in-process at
+    ``jobs=1``, where consecutive units of one location share one
+    analyzer and its observation cache, or in worker processes, where a
+    worker reuses its analyzer across consecutive units of one location.
+    Observations are pure functions of the operating point, so the
+    results are identical either way.
 
     ``resilience`` switches the fan-out to recovery mode: unit errors
     are retried/fallen back per the policy (failures land in
     ``outcome.failures`` instead of raising) and, with a checkpoint
     store, finished units persist incrementally and are skipped on
-    resume.  It also routes ``jobs=1`` through the unit decomposition so
-    checkpoint/resume works serially — unit purity keeps the inventory
-    identical.
+    resume.
     """
     from .core.analysis import PROBE_SOSES
 
@@ -963,22 +1004,6 @@ def survey_locations(
         for location in locations
     ]
     outcome = SurveyOutcome({location: [] for location in locations})
-    if jobs <= 1 and resilience is None:
-        for spec in specs:
-            before = propagator_cache_info()
-            analyzer = spec.build()
-            for plan in analyzer.sweep_plans():
-                outcome.findings[spec.location].extend(
-                    analyzer.survey(floating=plan, probes=probe_list)
-                )
-            info = analyzer.cache_info()
-            after = propagator_cache_info()
-            outcome.stats.add(FanoutStats(
-                info.hits, info.misses,
-                after.hits - before.hits, after.misses - before.misses,
-            ))
-            outcome.quarantined.extend(analyzer.quarantined)
-        return outcome
     units = [
         SurveyUnit(spec, plan, probe)
         for spec in specs
@@ -1000,12 +1025,7 @@ def survey_locations(
     for unit, result in zip(units, mapped.results):
         if result is None:
             continue  # failed unit, surfaced in outcome.failures
-        # Pre-guard checkpoints stored 3-tuples (no quarantine list).
-        if len(result) == 3:
-            findings, obs, prop = result
-            quarantined: List[QuarantinedPoint] = []
-        else:
-            findings, obs, prop, quarantined = result
+        findings, obs, prop, quarantined = result
         outcome.findings[unit.spec.location].extend(findings)
         outcome.stats.add(FanoutStats(obs[0], obs[1], prop[0], prop[1]))
         outcome.quarantined.extend(quarantined)

@@ -8,6 +8,7 @@ payload, so "fail once, then succeed" behaves identically whichever
 process runs the attempt.
 """
 
+import json
 import multiprocessing
 import os
 import time
@@ -16,6 +17,7 @@ import pytest
 
 from repro import cli, telemetry
 from repro.circuit.defects import OpenLocation
+from repro.experiments.table1 import run_table1
 from repro.io import CheckpointStore
 from repro.parallel import (
     Resilience, RetryPolicy, UnitFailure, drain_resilience_log,
@@ -290,6 +292,33 @@ def test_survey_checkpoint_resume_matches_clean_inventory(tmp_path):
     assert _survey_fingerprint(resumed) == clean
     assert resumed.resumed == len(lines) // 2
     assert drain_resilience_log().resumed == len(lines) // 2
+
+
+def test_table1_resumes_pre_quarantine_completion_records(tmp_path):
+    """Completion records without a quarantine list (the format before
+    completion units kept their quarantines) still resume."""
+    kwargs = dict(opens=(OpenLocation.CELL,), n_r=4, n_u=3)
+    clean = run_table1(**kwargs)
+    path = str(tmp_path / "table1.jsonl")
+    res = Resilience(checkpoint=CheckpointStore(path))
+    run_table1(resilience=res, **kwargs)
+    res.checkpoint.close()
+
+    entries = [json.loads(line) for line in open(path, encoding="utf-8")]
+    old = [e for e in entries if e["codec"] == "completion"]
+    assert old
+    for entry in old:
+        del entry["payload"]["quarantined"]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(json.dumps(entry) + "\n" for entry in entries)
+
+    drain_resilience_log()
+    res2 = Resilience(checkpoint=CheckpointStore(path))
+    resumed = run_table1(resilience=res2, **kwargs)
+    res2.checkpoint.close()
+    assert drain_resilience_log().resumed == len(entries)
+    assert resumed.rows == clean.rows
+    assert resumed.report.render() == clean.report.render()
 
 
 _CRASH_FLAG = {"path": None}

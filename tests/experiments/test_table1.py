@@ -1,8 +1,12 @@
 """Tests for the Table 1 experiment (subset of opens; coarse grid)."""
 
+import multiprocessing
+
 import pytest
 
 from repro.circuit.defects import OpenLocation
+from repro.circuit.network import GuardPolicy
+from repro.core.analysis import default_grid_for
 from repro.core.fault_primitives import parse_fp
 from repro.core.ffm import FFM
 from repro.experiments.table1 import (
@@ -10,6 +14,8 @@ from repro.experiments.table1 import (
     REFERENCE_COMPLETED_FPS,
     run_table1,
 )
+from repro.inject import SolverNaNInjector
+from repro.parallel import Resilience
 
 
 @pytest.fixture(scope="module")
@@ -66,3 +72,41 @@ class TestSubsetRun:
         text = subset.report.render()
         assert "Completed FP" in text
         assert "Open 4" in text
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the injector reaches pool workers only through fork",
+)
+def test_completion_quarantines_kept_for_every_execution_mode():
+    """Points quarantined inside completion searches reach the result.
+
+    A NaN injected at one coarse-grid point of Open 1 trips the guard in
+    8 survey probes and in 21 completion candidates.  The result must
+    hold all 29 points once each, sorted, for jobs=1, jobs=2 and an
+    in-process resilient run alike, with byte-identical reports.
+    """
+    grid = default_grid_for(OpenLocation.CELL, n_r=8, n_u=6)
+    target = (grid.r_values[2], grid.u_values[2])
+    kwargs = dict(
+        opens=(OpenLocation.CELL,), n_r=8, n_u=6,
+        guard_policy=GuardPolicy.QUARANTINE,
+    )
+    results = []
+    for extra in ({}, {"jobs": 2}, {"resilience": Resilience()}):
+        with SolverNaNInjector(target=target):
+            results.append(run_table1(**kwargs, **extra))
+    serial, fanned, resilient = results
+    points = serial.quarantined
+    assert len(points) == len(set(points)) == 29
+    assert {(p.r_def, p.u) for p in points} == {target}
+    assert sum("[" in p.sos for p in points) == 21
+    assert set(fanned.quarantined) == set(points)
+    assert set(resilient.quarantined) == set(points)
+    assert points == sorted(points, key=lambda p: (p.sos, p.r_def, p.u))
+    assert fanned.quarantined == points
+    assert resilient.quarantined == points
+    report = serial.report.render()
+    assert "quarantined grid points: 29" in report
+    assert fanned.report.render() == report
+    assert resilient.report.render() == report

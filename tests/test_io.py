@@ -196,6 +196,17 @@ class TestCheckpointCodecs:
         assert load_completion(dump_completion(fp)) == fp
         assert load_completion(dump_completion(None)) is None
 
+    def test_completion_unit_roundtrip(self):
+        fp = parse_fp("<[w1 w0] r0/1/1>")
+        point = self._quarantined_point()
+        data = json.loads(json.dumps(dump_completion((fp, [point]))))
+        assert load_completion(data) == (fp, [point])
+        assert load_completion(dump_completion((None, []))) == (None, [])
+        # A record written before completion units kept their
+        # quarantines loads as the bare verdict.
+        del data["quarantined"]
+        assert load_completion(data) == fp
+
     def test_codec_table_is_consistent(self):
         for name, (dump, load) in CHECKPOINT_CODECS.items():
             assert callable(dump) and callable(load), name
