@@ -37,7 +37,7 @@ from ..memory.array import Topology
 from ..memory.fault_machine import NodeKind, _infer_kind
 from .coverage import coverage_matrix
 from .notation import Direction, MarchElement, MarchOp, MarchTest
-from .simulator import detects
+from .simulator import _march_trace, detects
 
 __all__ = ["GeneratedMarch", "generate_march"]
 
@@ -190,11 +190,7 @@ def _minimize(
 
 def _sound(test: MarchTest, topology: Topology) -> bool:
     """A fault-free memory must pass the test (no false positives)."""
-    from ..memory.simulator import FaultyMemory
-    from .simulator import run_march
-
-    for either_as in (Direction.UP, Direction.DOWN):
-        memory = FaultyMemory(topology)
-        if run_march(test, memory, either_as=either_as).detected:
-            return False
-    return True
+    return not any(
+        _march_trace(test, topology, either_as).bad_reads
+        for either_as in (Direction.UP, Direction.DOWN)
+    )

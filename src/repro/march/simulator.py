@@ -1,5 +1,9 @@
 """March test execution and detection qualification.
 
+A march test runs as a flat sequence of steps (:func:`_march_steps`)
+that every runner below iterates, so address order is expanded in one
+place.
+
 :func:`run_march` drives any object with the ``read(addr)``/
 ``write(addr, value)`` protocol (fault-free arrays, behavioural fault
 machines, the electrical column model) and reports every read whose value
@@ -11,13 +15,20 @@ column on the grid engine, with results identical to per-point
 :func:`detects` qualifies *guaranteed* detection of a behavioural fault:
 the paper's floating voltages mean a defective memory's initial state is
 unknown, so the test must fail for **every** initial floating-node value,
-every victim location and both resolutions of ``⇕`` elements.
+every victim location and both resolutions of ``⇕`` elements.  Each
+scenario runs the fault machine over a projection of the trace onto the
+cells that can reach it (see :func:`escape_cases`), with results
+identical to running the whole test on a
+:class:`~repro.memory.simulator.FaultyMemory`.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
@@ -27,7 +38,7 @@ from ..circuit.defects import FloatingNode, OpenDefect, OpenLocation
 from ..circuit.technology import Technology
 from ..core.fault_primitives import FaultPrimitive
 from ..memory.array import Topology
-from ..memory.fault_machine import BehavioralFault, NodeKind
+from ..memory.fault_machine import BehavioralFault, NodeKind, _infer_kind
 from ..memory.simulator import ElectricalMemory, FaultyMemory
 from .notation import Direction, MarchPause, MarchTest
 
@@ -68,6 +79,43 @@ class MarchResult:
         return bool(self.mismatches)
 
 
+#: ``_Step.address`` of the idle precharge step after each march element.
+_TICK = -1
+#: ``_Step.address`` of a ``Del`` element's step (``value`` is its length).
+_PAUSE = -2
+
+
+class _Step(NamedTuple):
+    """One step of a march run: an operation, a tick or a pause."""
+
+    element: int
+    address: int
+    op: int
+    is_write: bool
+    value: float
+
+
+def _march_steps(
+    test: MarchTest, size: int, either_as: Direction
+) -> Iterator[_Step]:
+    """The test's steps over ``size`` addresses, in march order.
+
+    Operation steps, one :data:`_TICK` step after each
+    :class:`~repro.march.notation.MarchElement` and one :data:`_PAUSE`
+    step per :class:`~repro.march.notation.MarchPause`.  The one place
+    that expands address order: every runner below iterates it.
+    """
+    for ei, element in enumerate(test.elements):
+        if isinstance(element, MarchPause):
+            yield _Step(ei, _PAUSE, 0, False, element.seconds)
+            continue
+        ops = [(oi, op.is_write, op.value) for oi, op in enumerate(element.ops)]
+        for address in element.addresses(size, either_as):
+            for oi, is_write, value in ops:
+                yield _Step(ei, address, oi, is_write, value)
+        yield _Step(ei, _TICK, 0, False, 0)
+
+
 def run_march(
     test: MarchTest,
     memory,
@@ -84,33 +132,33 @@ def run_march(
     n = size if size is not None else memory.size
     mismatches: List[Mismatch] = []
     operations = 0
+    read, write = memory.read, memory.write
     tick = getattr(memory, "tick", None)
     pause = getattr(memory, "pause", None)
-    for ei, element in enumerate(test.elements):
-        telemetry.count("march.elements_applied")
-        if isinstance(element, MarchPause):
+    for ei, address, oi, is_write, value in _march_steps(test, n, either_as):
+        if address == _TICK:
+            if tick is not None:
+                tick()
+        elif address == _PAUSE:
             if pause is not None:
-                pause(element.seconds)
-            continue
-        for address in element.addresses(n, either_as):
-            for oi, op in enumerate(element.ops):
-                operations += 1
-                if op.is_write:
-                    memory.write(address, op.value)
-                else:
-                    observed = memory.read(address)
-                    if observed != op.value:
-                        mismatches.append(
-                            Mismatch(ei, address, oi, op.value, observed)
-                        )
-                        if stop_at_first:
-                            telemetry.count("march.runs")
-                            telemetry.count("march.operations", operations)
-                            return MarchResult(
-                                test.name, tuple(mismatches), operations
-                            )
-        if tick is not None:
-            tick()
+                pause(value)
+        elif is_write:
+            operations += 1
+            write(address, value)
+        else:
+            operations += 1
+            observed = read(address)
+            if observed != value:
+                mismatches.append(Mismatch(ei, address, oi, value, observed))
+                if stop_at_first:
+                    return _finish_run(test, mismatches, operations, ei + 1)
+    return _finish_run(test, mismatches, operations, len(test.elements))
+
+
+def _finish_run(
+    test: MarchTest, mismatches: List[Mismatch], operations: int, elements: int
+) -> MarchResult:
+    telemetry.count("march.elements_applied", elements)
     telemetry.count("march.runs")
     telemetry.count("march.operations", operations)
     return MarchResult(test.name, tuple(mismatches), operations)
@@ -232,42 +280,42 @@ def run_march_grid(
 
     def execute() -> Tuple[int, int]:
         """Run the test on the tile; ``(operations, elements)`` applied."""
-        operations = elements = 0
-        for ei, element in enumerate(test.elements):
-            elements += 1
-            if isinstance(element, MarchPause):
-                batch.idle(element.seconds)
+        operations = 0
+        for ei, address, oi, is_write, value in _march_steps(
+            test, n_rows, either_as
+        ):
+            if address == _TICK:
+                batch.precharge_cycle()
                 continue
-            for address in element.addresses(n_rows, either_as):
-                for oi, op in enumerate(element.ops):
-                    operations += 1
-                    if op.is_write:
-                        batch.write(address, op.value)
-                        continue
-                    observed = batch.read(address)
-                    bad = np.argwhere(observed != op.value)
-                    if not bad.size:
-                        continue
-                    members = batch.active_members
-                    for k, lane in bad:
-                        m = members[k]
-                        point = divmod(m, n_p) if wl else (m, int(lane))
-                        if point in stopped:
-                            continue
-                        fails[point[0]][point[1]].append(Mismatch(
-                            ei, address, oi, op.value,
-                            int(observed[k, lane]),
-                        ))
-                        if stop_at_first:
-                            stopped[point] = (operations, elements)
-                    if stop_at_first:
-                        settled = set(stopped)
-                        for m in batch.demoted:
-                            settled.update(points_of(m))
-                        if len(settled) == n_r * n_p:
-                            return operations, elements
-            batch.precharge_cycle()
-        return operations, elements
+            if address == _PAUSE:
+                batch.idle(value)
+                continue
+            operations += 1
+            if is_write:
+                batch.write(address, value)
+                continue
+            observed = batch.read(address)
+            bad = np.argwhere(observed != value)
+            if not bad.size:
+                continue
+            members = batch.active_members
+            for k, lane in bad:
+                m = members[k]
+                point = divmod(m, n_p) if wl else (m, int(lane))
+                if point in stopped:
+                    continue
+                fails[point[0]][point[1]].append(Mismatch(
+                    ei, address, oi, value, int(observed[k, lane]),
+                ))
+                if stop_at_first:
+                    stopped[point] = (operations, ei + 1)
+            if stop_at_first:
+                settled = set(stopped)
+                for m in batch.demoted:
+                    settled.update(points_of(m))
+                if len(settled) == n_r * n_p:
+                    return operations, ei + 1
+        return operations, len(test.elements)
 
     operations, elements = execute()
     demoted = {p for m in batch.demoted for p in points_of(m)}
@@ -301,15 +349,135 @@ def run_march_grid(
     return results
 
 
-def _scenarios(
+#: Compiled qualification traces kept.  Both callers
+#: (:func:`~repro.march.coverage.coverage_matrix` and the generator's
+#: minimizer) loop over tests in the outer loop, so a test's two ``⇕``
+#: resolutions are all that need to stay warm.
+_TRACE_CACHE = 4
+
+
+#: One operation of a projected trace: ``(address, is_write, value)``;
+#: ``(_TICK, False, 0)`` is the precharge tick after an element.
+_Op = Tuple[int, bool, int]
+
+
+@dataclass(frozen=True, eq=False)
+class _MarchTrace:
+    """A test compiled for qualification on one topology.
+
+    ``bad_reads`` are the addresses at which a fault-free memory fails a
+    read.  ``by_column[c]`` keeps the operations on column ``c``,
+    ``by_address[a]`` those on address ``a``; both keep every tick and
+    drop the pauses (a :class:`BehavioralFault` has no notion of idle
+    time).  Equal operations share one tuple, so a cached trace costs
+    little more than its references.
+    """
+
+    bad_reads: FrozenSet[int]
+    by_column: Tuple[Tuple[_Op, ...], ...]
+    by_address: Tuple[Tuple[_Op, ...], ...]
+
+
+@functools.lru_cache(maxsize=_TRACE_CACHE)
+def _march_trace(
+    test: MarchTest, topology: Topology, either_as: Direction
+) -> _MarchTrace:
+    """Compile ``test`` for qualification (see :class:`_MarchTrace`)."""
+    stored = [0] * topology.size
+    bad_reads = set()
+    by_column: List[List[_Op]] = [[] for _ in range(topology.n_cols)]
+    by_address: List[List[_Op]] = [[] for _ in range(topology.size)]
+    shared: Dict[_Op, _Op] = {}
+    for _, address, _, is_write, value in _march_steps(
+        test, topology.size, either_as
+    ):
+        if address == _PAUSE:
+            continue
+        op = (address, is_write, value)
+        op = shared.setdefault(op, op)
+        if address == _TICK:
+            for projection in (*by_column, *by_address):
+                projection.append(op)
+            continue
+        if is_write:
+            stored[address] = value
+        elif stored[address] != value:
+            bad_reads.add(address)
+        by_column[topology.column_of(address)].append(op)
+        by_address[address].append(op)
+    return _MarchTrace(
+        frozenset(bad_reads),
+        tuple(map(tuple, by_column)), tuple(map(tuple, by_address)),
+    )
+
+
+def _escapes(
+    test: MarchTest,
     fp: FaultPrimitive,
-    topology: Topology,
+    topology: Optional[Topology],
     node_values: Sequence[Optional[int]],
     kind: Optional[NodeKind],
-):
+    both_either_directions: bool,
+) -> Iterator[Tuple[int, Optional[int], Direction]]:
+    """Yield the missed scenarios in (victim, node value, ⇕) order.
+
+    Two facts of :class:`~repro.memory.simulator.FaultyMemory` make a
+    scenario cheap without changing its verdict:
+
+    * every cell but the victim holds its fault-free value, so a read
+      elsewhere fails exactly where a fault-free memory fails
+      (``bad_reads``); any such address detects the fault;
+    * a :class:`BehavioralFault` reacts only to operations on the
+      victim's column (a BITLINE node) or on the victim itself (the
+      other kinds), plus the ticks between elements.  With no fault-free
+      failure elsewhere, every other read returns its expected value, so
+      the machine runs over the matching projection alone and the
+      scenario is detected iff a victim read differs from the expected
+      value.
+    """
+    topology = topology or Topology(n_rows=4, n_cols=2)
+    directions = (
+        (Direction.UP, Direction.DOWN) if both_either_directions
+        else (Direction.UP,)
+    )
+    if kind is None and node_values:
+        kind = _infer_kind(fp)
+    traces = [_march_trace(test, topology, d) for d in directions]
     for victim in topology.addresses():
+        column = topology.column_of(victim)
         for node_value in node_values:
-            yield victim, node_value
+            for either_as, trace in zip(directions, traces):
+                telemetry.count("march.qualify_scenarios")
+                bad = trace.bad_reads
+                if len(bad) > 1 or (bad and victim not in bad):
+                    continue
+                fault = BehavioralFault.from_fp(
+                    fp, victim, topology, node_value=node_value, kind=kind
+                )
+                ops = (
+                    trace.by_column[column] if kind is NodeKind.BITLINE
+                    else trace.by_address[victim]
+                )
+                if not _flags(fault, ops):
+                    yield victim, node_value, either_as
+
+
+def _flags(fault: BehavioralFault, ops: Sequence[_Op]) -> bool:
+    """Does any read in ``ops`` return other than its expected value?
+
+    Only victim reads can: :meth:`BehavioralFault.on_read` hands any
+    other address its fault-free value back, which the caller guarantees
+    is the expected one.
+    """
+    on_read, on_write, tick = fault.on_read, fault.on_write, fault.tick
+    for address, is_write, value in ops:
+        if address == _TICK:
+            tick()
+        elif is_write:
+            on_write(address, value)
+        elif on_read(address, value) != value:
+            return True
+    return False
 
 
 def detects(
@@ -333,9 +501,10 @@ def detects(
     it; qualify those with ``node_values=(1,)`` (the active region) to ask
     "is the fault caught whenever it manifests?".
     """
-    return not escape_cases(
+    escapes = _escapes(
         test, fp, topology, node_values, kind, both_either_directions
     )
+    return next(escapes, None) is None
 
 
 def detects_coupling(
@@ -387,22 +556,12 @@ def escape_cases(
     kind: Optional[NodeKind] = None,
     both_either_directions: bool = True,
 ) -> Tuple[Tuple[int, Optional[int], Direction], ...]:
-    """The scenarios (victim, node value, ⇕ resolution) the test misses."""
-    topology = topology or Topology(n_rows=4, n_cols=2)
-    directions = (
-        (Direction.UP, Direction.DOWN) if both_either_directions
-        else (Direction.UP,)
-    )
-    escapes: List[Tuple[int, Optional[int], Direction]] = []
-    for victim, node_value in _scenarios(fp, topology, node_values, kind):
-        for either_as in directions:
-            fault = BehavioralFault.from_fp(
-                fp, victim, topology, node_value=node_value, kind=kind
-            )
-            memory = FaultyMemory(topology, fault)
-            result = run_march(
-                test, memory, either_as=either_as, stop_at_first=True
-            )
-            if not result.detected:
-                escapes.append((victim, node_value, either_as))
-    return tuple(escapes)
+    """The scenarios (victim, node value, ⇕ resolution) the test misses.
+
+    Same verdicts, in the same order, as running the whole test with
+    ``stop_at_first`` on a fresh :class:`FaultyMemory` per scenario; the
+    test's compiled traces are looked up once per call.
+    """
+    return tuple(_escapes(
+        test, fp, topology, node_values, kind, both_either_directions
+    ))

@@ -83,6 +83,37 @@ class BehavioralFault:
     state: int = 0
     triggered: bool = False
     _history: List[int] = field(default_factory=list)
+    # FP-derived requirements, fixed at construction (see __post_init__).
+    _sensitizing_op: Optional[Op] = field(init=False, repr=False, compare=False)
+    _required_state: Optional[int] = field(init=False, repr=False, compare=False)
+    _armed_value: Optional[int] = field(init=False, repr=False, compare=False)
+    _required_history: Tuple[int, ...] = field(
+        init=False, repr=False, compare=False
+    )
+    _victim_column: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        sos = self.fp.sos
+        plain = [op for op in sos.ops if op.cell == VICTIM and not op.completing]
+        self._sensitizing_op = plain[-1] if plain else None
+        completing = sos.completing_ops
+        self._armed_value = completing[-1].value if completing else None
+        self._required_history = tuple(
+            op.value for op in completing if op.cell == VICTIM
+        )
+        op = self._sensitizing_op
+        if op is not None and op.is_read:
+            required = op.value
+        else:
+            # Write- or state-sensitized: the state just before the
+            # sensitizing point is the initialization, or — when the
+            # initialization was dropped (``<[w1 w0] r0/1/1>`` style) —
+            # whatever the completing prefix establishes on the victim.
+            required = sos.init_value(VICTIM)
+            if required is None and self._required_history:
+                required = self._required_history[-1]
+        self._required_state = required
+        self._victim_column = self.topology.column_of(self.victim)
 
     @classmethod
     def from_fp(
@@ -109,29 +140,12 @@ class BehavioralFault:
     @property
     def sensitizing_op(self) -> Optional[Op]:
         """The last non-completing victim operation (None for state faults)."""
-        plain = [
-            op for op in self.fp.sos.ops
-            if op.cell == VICTIM and not op.completing
-        ]
-        return plain[-1] if plain else None
+        return self._sensitizing_op
 
     @property
     def required_state(self) -> Optional[int]:
         """Victim state needed just before the sensitizing operation."""
-        op = self.sensitizing_op
-        if op is not None and op.is_read:
-            return op.value
-        # Write- or state-sensitized: the state just before the sensitizing
-        # point is the initialization, or — when the initialization was
-        # dropped (``<[w1 w0] r0/1/1>`` style) — whatever the completing
-        # prefix establishes on the victim.
-        init = self.fp.sos.init_value(VICTIM)
-        if init is not None:
-            return init
-        completing = [o for o in self.fp.sos.completing_ops if o.cell == VICTIM]
-        if completing:
-            return completing[-1].value
-        return None
+        return self._required_state
 
     @property
     def armed_value(self) -> Optional[int]:
@@ -141,17 +155,12 @@ class BehavioralFault:
         for victim-history and static kinds this is unused / means
         "machine constructed active".
         """
-        completing = self.fp.sos.completing_ops
-        if not completing:
-            return None
-        return completing[-1].value
+        return self._armed_value
 
     @property
     def required_history(self) -> Tuple[int, ...]:
         """Victim value pattern required for VICTIM_HISTORY faults."""
-        return tuple(
-            op.value for op in self.fp.sos.completing_ops if op.cell == VICTIM
-        )
+        return self._required_history
 
     # -- the operation protocol -----------------------------------------------------
 
@@ -194,7 +203,7 @@ class BehavioralFault:
     # -- internals -------------------------------------------------------------------
 
     def _same_column(self, address: int) -> bool:
-        return self.topology.same_column(address, self.victim)
+        return self.topology.column_of(address) == self._victim_column
 
     def _drive_node(self, address: int, value: int) -> None:
         """A write/restore on the victim's column drives a BITLINE node."""
@@ -207,9 +216,9 @@ class BehavioralFault:
 
     def _node_armed(self) -> bool:
         if self.kind is NodeKind.BITLINE:
-            return self.node_value is not None and self.node_value == self.armed_value
+            return self.node_value is not None and self.node_value == self._armed_value
         if self.kind is NodeKind.VICTIM_HISTORY:
-            pattern = self.required_history
+            pattern = self._required_history
             return (
                 len(pattern) > 0
                 and tuple(self._history[-len(pattern):]) == pattern
@@ -218,24 +227,24 @@ class BehavioralFault:
         return self.node_value == 1
 
     def _state_matches(self) -> bool:
-        required = self.required_state
+        required = self._required_state
         return required is None or self.state == required
 
     def _read_triggers(self) -> bool:
-        op = self.sensitizing_op
+        op = self._sensitizing_op
         if op is None or not op.is_read:
             return False
         return self._state_matches() and self._node_armed()
 
     def _write_triggers(self, value: int) -> bool:
-        op = self.sensitizing_op
+        op = self._sensitizing_op
         if op is None or not op.is_write or op.value != value:
             return False
         return self._state_matches() and self._node_armed()
 
     def _maybe_state_fault(self) -> None:
         """State faults (op-less FPs) apply right after their prefix."""
-        if self.sensitizing_op is not None:
+        if self._sensitizing_op is not None:
             return
         if self.kind is NodeKind.VICTIM_HISTORY:
             if self._node_armed():
@@ -252,7 +261,7 @@ class BehavioralFault:
         Static state faults (the Open 9 SF0: the cell charges during any
         precharge) apply on every tick while armed.
         """
-        if self.kind is NodeKind.STATIC and self.sensitizing_op is None:
+        if self.kind is NodeKind.STATIC and self._sensitizing_op is None:
             if self._node_armed() and self._state_matches():
                 self.triggered = True
                 self.state = self.fp.faulty_value

@@ -61,6 +61,8 @@ class FaultyMemory:
         """Let background precharge cycles run (static state faults)."""
         if self.fault is not None:
             self.fault.tick()
+            if hasattr(self.fault, "victim"):
+                self.array.write(self.fault.victim, self.fault.state)
 
     def pause(self, seconds: float) -> None:
         """Idle time (march Del elements): retention faults accumulate."""

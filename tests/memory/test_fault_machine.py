@@ -190,3 +190,21 @@ class TestMisc:
     def test_non_victim_read_passthrough(self):
         m = machine("<1v [w0BL] r1v/0/0>")
         assert m.on_read(MATE, 1) == 1
+
+
+@pytest.mark.parametrize("text, sensitizing, state, armed, history", [
+    ("<1v [w0BL] r1v/0/0>", ("r", 1), 1, 0, ()),
+    ("<1v [w1BL] w0v/1/->", ("w", 0), 1, 1, ()),
+    ("<[w1 w0] r0/1/1>", ("r", 0), 0, 0, (1, 0)),
+    ("<[w1 w0]/1/->", None, 0, 0, (1, 0)),
+    ("<0/1/->", None, 0, None, ()),
+])
+def test_fp_derived_requirements(text, sensitizing, state, armed, history):
+    fault = machine(text)
+    op = fault.sensitizing_op
+    assert (None if op is None else ("r" if op.is_read else "w", op.value)) == (
+        sensitizing
+    )
+    assert fault.required_state == state
+    assert fault.armed_value == armed
+    assert fault.required_history == history

@@ -5,7 +5,7 @@ import pytest
 from repro.circuit.defects import FloatingNode, OpenDefect, OpenLocation
 from repro.core.fault_primitives import parse_fp
 from repro.memory.array import Topology
-from repro.memory.fault_machine import BehavioralFault
+from repro.memory.fault_machine import BehavioralFault, NodeKind
 from repro.memory.simulator import ElectricalMemory, FaultyMemory
 
 TOPO = Topology(4, 2)
@@ -62,6 +62,18 @@ class TestFaultyMemoryWithFault:
         memory = FaultyMemory(TOPO, fault)
         memory.tick()
         assert memory.read(0) == 1
+
+    def test_tick_writes_the_victim_state_back(self):
+        topology = Topology(2, 1)
+        fault = BehavioralFault.from_fp(
+            parse_fp("<0/1/->"), 0, topology, node_value=1,
+            kind=NodeKind.STATIC,
+        )
+        memory = FaultyMemory(topology, fault)
+        assert memory.array.dump() == (0, 0)
+        memory.tick()
+        assert fault.state == 1
+        assert memory.array.dump() == (1, 0)
 
 
 class TestElectricalMemory:
