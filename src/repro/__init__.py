@@ -36,7 +36,6 @@ from .core.analysis import (
     SweepGrid,
     default_grid_for,
 )
-from .core.bridge_analysis import BridgeFaultAnalyzer
 from .core.complement import complement
 from .core.diagnosis import (
     DiagnosisResult,
@@ -117,7 +116,6 @@ __all__ = [
     "BistController",
     "BistResult",
     "BridgeDefect",
-    "BridgeFaultAnalyzer",
     "CalibrationResult",
     "calibrate_to_paper",
     "BridgeLocation",

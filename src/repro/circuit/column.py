@@ -22,7 +22,9 @@ on a lumped RC network (:mod:`repro.circuit.network`):
 A single :class:`~repro.circuit.defects.OpenDefect` may be injected; the
 open's resistance appears in the corresponding branch and bit-line
 segments left floating by the open simply keep their charge — which is
-precisely the behaviour partial faults feed on.
+precisely the behaviour partial faults feed on.  A
+:class:`~repro.circuit.bridges.BridgeDefect` instead adds one branch of
+its own resistance that conducts in every phase.
 """
 
 from __future__ import annotations
@@ -337,11 +339,14 @@ class DRAMColumn:
         for node, factor in self._idle_factors(duration):
             self.net.set_voltage(node, self.net.voltage(node) * factor)
 
-    def _idle_factors(self, duration: float) -> List[Tuple[str, float]]:
+    def _idle_factors(
+        self, duration: float, resistance: Optional[float] = None
+    ) -> List[Tuple[str, float]]:
         """``(node, decay factor)`` of every storage node over an idle time.
 
         Empty for a zero duration.  Shared by :meth:`idle` and
-        :meth:`GridBatch.idle`, so both scale by the identical factors.
+        :meth:`GridBatch.idle`, so both scale by the identical factors;
+        ``resistance`` overrides the defect's (one grid member's value).
         """
         if duration < 0:
             raise ValueError("duration must be non-negative")
@@ -359,7 +364,9 @@ class DRAMColumn:
                 and self.defect.location is BridgeLocation.CELL_GROUND
                 and self.defect.row == row
             ):
-                conductance += thermal / self.defect.resistance
+                conductance += thermal / (
+                    resistance or self.defect.resistance
+                )
             tau = t.c_cell / conductance
             factors.append((f"cell{row}", math.exp(-duration / tau)))
         tau_ref = t.effective_cell_leak * t.c_ref_cell
@@ -440,10 +447,10 @@ class DRAMColumn:
             ) from err
 
     def _plan_r(self) -> float:
-        """The R_def substituted into ``weighted`` plan entries."""
-        if isinstance(self.defect, OpenDefect):
-            return self.defect.resistance
-        return 0.0
+        """The defect resistance substituted into ``weighted`` plan entries."""
+        if self.defect is None:
+            return 0.0
+        return self.defect.resistance
 
     def _plan_weighted(
         self, location: OpenLocation, row: Optional[int] = None
@@ -510,24 +517,19 @@ class DRAMColumn:
             assert self.defect is not None
             connects.append((self._bt_nodes[0], self._bt_nodes[1], 0.0, True, 0.0))
         # Bridges conduct in every phase: they add a branch, never gate one.
+        # The branch is the whole defect resistance (``0.0 + R``).
         if isinstance(self.defect, BridgeDefect):
+            cell = f"cell{self.defect.row}"
             if self.defect.location is BridgeLocation.CELL_CELL:
                 connects.append((
-                    f"cell{self.defect.row}",
-                    f"cell{self.defect.partner_row}",
-                    self.defect.resistance, False, 0.0,
+                    cell, f"cell{self.defect.partner_row}", 0.0, True, 0.0,
                 ))
             elif self.defect.location is BridgeLocation.CELL_BITLINE:
                 connects.append((
-                    f"cell{self.defect.row}",
-                    self._seg_node["cells"],
-                    self.defect.resistance, False, 0.0,
+                    cell, self._seg_node["cells"], 0.0, True, 0.0,
                 ))
             else:  # CELL_GROUND: a leak to substrate
-                drives.append((
-                    f"cell{self.defect.row}", 0.0, self.defect.resistance,
-                    False,
-                ))
+                drives.append((cell, 0.0, 0.0, True))
         # Access transistors: gates follow their drivers (through a word-line
         # open, if present); conduction uses the phase-mean gate voltage.
         wl_high = active_row is not None and not precharge
@@ -608,7 +610,8 @@ class GridBatch:
     """Lock-step execution of one operation sequence over a (R_def × U) grid.
 
     A ``GridBatch`` vectorizes both axes of a sweep tile: each *member* is
-    the same column topology with a different open resistance, and each
+    the same column topology with a different defect resistance (an open
+    or a bridge), and each
     member carries all U *lanes* (initial states).
     Internally the state is flat — one ``(n_nodes, n_points)`` matrix over
     every surviving ``(member, lane)`` point — advanced with one
@@ -652,8 +655,8 @@ class GridBatch:
         _global_ensembles: bool = True,
     ) -> None:
         defect = column.defect
-        if not isinstance(defect, OpenDefect):
-            raise ValueError("GridBatch requires an open-defect host column")
+        if not isinstance(defect, (OpenDefect, BridgeDefect)):
+            raise ValueError("GridBatch requires a defective host column")
         if defect.location is OpenLocation.WORD_LINE and member_gates is None:
             raise ValueError(
                 "word-line opens put the defect resistance inside the gate "
@@ -1168,13 +1171,17 @@ class GridBatch:
     def idle(self, duration: float) -> None:
         """Let every point sit unclocked (march ``Del`` elements).
 
-        Scales each storage node by the host column's
-        :meth:`DRAMColumn._idle_factors`, so every point decays exactly as
-        the scalar :meth:`DRAMColumn.idle` would.
+        Scales each storage node by :meth:`DRAMColumn._idle_factors` at
+        the point's own resistance (a ``CELL_GROUND`` bridge leaks by it),
+        so every point decays exactly as the scalar
+        :meth:`DRAMColumn.idle` would.
         """
         net = self.column.net
-        for node, factor in self.column._idle_factors(duration):
-            self.V[net.node_index(node)] *= factor
+        per_r = isinstance(self.column.defect, BridgeDefect)
+        for r in np.unique(self._pt_r) if per_r else (None,):
+            points = self._pt_r == r if per_r else slice(None)
+            for node, factor in self.column._idle_factors(duration, r):
+                self.V[net.node_index(node), points] *= factor
 
     def _operation(
         self, kind: str, row: int, value: Optional[int]

@@ -6,6 +6,14 @@ initial value of a floating voltage — and classifies the faulty behaviour
 at every grid point into a fault primitive / FFM, producing the region
 maps of Figs. 3 and 4.
 
+The same method applies to a bridge location, which turns the paper's
+Section 2 argument (bridges leave nothing floating, so they cause no
+partial faults) into an experiment (:mod:`repro.experiments.bridges`).
+Two rules follow from the defect kind: the aggressor ``a`` is the
+bridge's partner row, and a state probe (an SOS without operations) gets
+several precharge cycles, since a bridge's states decay over time rather
+than only under operations.
+
 Execution semantics of an SOS (this subtlety is the heart of the paper):
 
 * cell *initializations* (the leading ``1`` of ``1r1``) set cell voltages
@@ -33,17 +41,19 @@ import hashlib
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .. import telemetry
+from ..circuit.bridges import BridgeDefect, BridgeLocation
 from ..circuit.column import DRAMColumn, GridBatch
 from ..circuit.defects import FloatingNode, OpenDefect, OpenLocation, floating_nodes
 from ..circuit import network as circuit_network
 from ..circuit.network import GuardPolicy, solver_guards_configure, solver_guards_info
 from ..circuit.technology import Technology, default_technology
 from ..errors import SolverDivergenceError, SpecValidationError
+from .coupling import AGGRESSOR, CouplingFFM, classify_two_cell_fp
 from .fault_primitives import BITLINE_NEIGHBOR, SOS, VICTIM, FaultPrimitive, parse_sos
 from .ffm import FFM, classify_fp
 from .regions import FPRegionMap, QUARANTINED
@@ -77,6 +87,14 @@ _CURRENT_POINT: Optional[Dict] = None
 #: case stays around a megabyte per analyzer.
 _PREFIX_TILES = 8
 _PREFIX_SNAPS = 160
+
+#: A defect site the analyzer can sweep.
+DefectLocation = Union[OpenLocation, BridgeLocation]
+
+#: Precharge cycles of a state probe.  A bridge's states decay over
+#: time, so its victim is assessed after several idle cycles; an open
+#: gets the single cycle of the Open 9 SF mechanism.
+_STATE_CYCLES = {OpenLocation: 1, BridgeLocation: 6}
 
 
 def current_operating_point() -> Optional[Dict]:
@@ -122,7 +140,7 @@ def _lin_space(lo: float, hi: float, n: int) -> Tuple[float, ...]:
 #: Outside these ranges an open degenerates: far below, the circuit is
 #: healthy; far above, the branch is fully disconnected and no operation
 #: can reach past it (so no completion can exist by construction).
-_R_RANGES: Dict[OpenLocation, Tuple[float, float]] = {
+_R_RANGES: Dict[DefectLocation, Tuple[float, float]] = {
     OpenLocation.CELL: (3e4, 1e6),
     OpenLocation.REFERENCE_CELL: (3e4, 1e7),
     OpenLocation.PRECHARGE: (3e3, 3e7),
@@ -132,6 +150,10 @@ _R_RANGES: Dict[OpenLocation, Tuple[float, float]] = {
     OpenLocation.SENSE_AMPLIFIER: (3e3, 3e7),
     OpenLocation.BL_SENSEAMP_IO: (3e3, 1e9),
     OpenLocation.WORD_LINE: (1e6, 1e10),
+    # Bridges: from hard shorts to barely-there leaks.
+    BridgeLocation.CELL_CELL: (1e3, 1e9),
+    BridgeLocation.CELL_BITLINE: (1e3, 1e9),
+    BridgeLocation.CELL_GROUND: (1e3, 1e9),
 }
 
 
@@ -150,13 +172,13 @@ def _as_nodes(floating) -> Tuple[FloatingNode, ...]:
 
 
 def default_grid_for(
-    location: OpenLocation,
+    location: DefectLocation,
     n_r: int = 16,
     n_u: int = 12,
     vdd: float = 3.3,
     u_min: float = 0.0,
 ) -> SweepGrid:
-    """The default ``(R_def, U)`` sweep window for one open location."""
+    """The default ``(R_def, U)`` sweep window for one defect location."""
     r_min, r_max = _R_RANGES[location]
     return SweepGrid.make(
         r_min=r_min, r_max=r_max, n_r=n_r, u_min=u_min, u_max=vdd, n_u=n_u
@@ -274,7 +296,7 @@ class Observation:
     """
 
     fp: Optional[FaultPrimitive]
-    ffm: Optional[FFM]
+    ffm: Optional[Union[FFM, CouplingFFM]]
     faulty_value: int
     read_value: Optional[int]
     quarantined: bool = False
@@ -294,7 +316,7 @@ class QuarantinedPoint:
     diagnostic (which includes the phase and offending nodes).
     """
 
-    location: OpenLocation
+    location: DefectLocation
     floating: Tuple[FloatingNode, ...]
     sos: str
     r_def: float
@@ -314,10 +336,10 @@ class QuarantinedPoint:
 class PartialFaultFinding:
     """One (possibly partial) fault observed while surveying a defect."""
 
-    location: OpenLocation
+    location: DefectLocation
     floating: Tuple[FloatingNode, ...]
     probe_sos: SOS
-    ffm: FFM
+    ffm: Union[FFM, CouplingFFM]
     region: FPRegionMap
 
     @property
@@ -351,7 +373,7 @@ class CacheInfo(NamedTuple):
 
 
 class ColumnFaultAnalyzer:
-    """Sweeps one open-defect location over the ``(R_def, U)`` plane.
+    """Sweeps one open or bridge location over the ``(R_def, U)`` plane.
 
     ``max_cache_entries`` bounds the per-analyzer observation cache; when
     the bound is hit the oldest entry is evicted (FIFO).  The default
@@ -363,7 +385,7 @@ class ColumnFaultAnalyzer:
 
     def __init__(
         self,
-        location: OpenLocation,
+        location: DefectLocation,
         technology: Optional[Technology] = None,
         n_rows: int = 3,
         victim_row: int = 0,
@@ -439,6 +461,8 @@ class ColumnFaultAnalyzer:
         """Map SOS cell labels onto physical rows of the column."""
         if cell == VICTIM:
             return self.victim_row
+        if cell == AGGRESSOR and isinstance(self.location, BridgeLocation):
+            return self.victim_row + 1   # the bridge partner
         if cell == BITLINE_NEIGHBOR:
             return (self.victim_row + 1) % self.n_rows
         # Named aggressors a, b, ... take the remaining rows in order.
@@ -449,7 +473,11 @@ class ColumnFaultAnalyzer:
         return row
 
     def make_column(self, r_def: float) -> DRAMColumn:
-        defect = OpenDefect(self.location, r_def, row=self.victim_row)
+        kind = (
+            BridgeDefect if isinstance(self.location, BridgeLocation)
+            else OpenDefect
+        )
+        defect = kind(self.location, r_def, row=self.victim_row)
         return DRAMColumn(self.technology, n_rows=self.n_rows, defect=defect)
 
     def sweep_plans(self) -> Tuple[Tuple[FloatingNode, ...], ...]:
@@ -460,8 +488,11 @@ class ColumnFaultAnalyzer:
         (the IO-side bit line and the output buffer it feeds, Open 8; the
         reference cell and buffer behind a dead sense amplifier, Open 7)
         additionally get a joint sweep — the paper likewise initializes
-        all floating voltages of such defects.
+        all floating voltages of such defects.  A bridge leaves nothing
+        floating; its control sweep initializes the bit line.
         """
+        if isinstance(self.location, BridgeLocation):
+            return ((FloatingNode.BIT_LINE,),)
         nodes = floating_nodes(self.location)
         plans = [(node,) for node in nodes]
         if len(nodes) > 1:
@@ -483,7 +514,8 @@ class ColumnFaultAnalyzer:
         fp = FaultPrimitive(sos, faulty_value, read_value)
         if not fp.is_faulty():
             return Observation(None, None, faulty_value, read_value)
-        return Observation(fp, classify_fp(fp), faulty_value, read_value)
+        ffm = classify_two_cell_fp(fp) or classify_fp(fp)
+        return Observation(fp, ffm, faulty_value, read_value)
 
     def _cache_store(self, key: Tuple, obs: Observation) -> None:
         if (
@@ -533,8 +565,9 @@ class ColumnFaultAnalyzer:
         last_victim_read: Optional[int] = None
         if not sos.ops and not ran_anything:
             # State-fault probe: nothing addresses the cell, but precharge
-            # cycles still run (the Open 9 SF mechanism).
-            column.precharge_cycle()
+            # cycles still run (the Open 9 SF mechanism; a bridge's leak).
+            for _ in range(_STATE_CYCLES[type(self.location)]):
+                column.precharge_cycle()
         for op in sos.ops:
             row = self._row_of(op.cell)
             if op.is_write:
@@ -595,14 +628,14 @@ class ColumnFaultAnalyzer:
         wl_grid = self._wordline_grid(floating)
         # The state-mutating step list: victim init writes (when the cell
         # itself floats), then the operations; an empty sequence still
-        # runs one precharge cycle like the scalar column does.
+        # runs the state probe's precharge cycles like the scalar path.
         steps: List[tuple] = []
         if init_via_write:
             for init in sos.inits:
                 if init.cell == VICTIM:
                     steps.append(("w", self.victim_row, init.value, False))
         if not sos.ops and not steps:
-            steps.append(("pc",))
+            steps.extend([("pc",)] * _STATE_CYCLES[type(self.location)])
         for op in sos.ops:
             row = self._row_of(op.cell)
             if op.is_write:
@@ -968,15 +1001,18 @@ class ColumnFaultAnalyzer:
     def survey(
         self,
         floating: Optional[FloatingNode] = None,
-        probes: Optional[Sequence[str]] = None,
+        probes: Optional[Sequence[Union[str, SOS]]] = None,
         grid: Optional[SweepGrid] = None,
     ) -> List[PartialFaultFinding]:
         """Probe the defect with the single-cell SOS space; report findings.
 
-        One finding is returned per (floating voltage, FFM) pair observed
-        anywhere in the plane.  ``finding.is_partial`` applies the paper's
-        rule.  When ``floating`` is None, all floating voltages prescribed
-        for this open by the Section 2 rules are swept in turn.
+        ``probes`` replaces the probe space (a bridge survey passes the
+        two-cell :func:`~repro.core.coupling.two_cell_state_probes`).
+        One finding is returned per (floating voltage, FFM or coupling
+        FFM) pair observed anywhere in the plane.  ``finding.is_partial``
+        applies the paper's rule.  When ``floating`` is None, all floating
+        voltages prescribed for this open by the Section 2 rules are swept
+        in turn.
         """
         if floating is not None:
             plans: Tuple[Tuple[FloatingNode, ...], ...] = (_as_nodes(floating),)
@@ -995,7 +1031,7 @@ class ColumnFaultAnalyzer:
                     sos = parse_sos(text) if isinstance(text, str) else text
                     region = self.region_map(sos, plan, grid=grid)
                     for observed in region.observed_labels:
-                        if not isinstance(observed, FFM):
+                        if not isinstance(observed, (FFM, CouplingFFM)):
                             continue
                         findings.append(
                             PartialFaultFinding(

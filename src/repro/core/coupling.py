@@ -157,12 +157,10 @@ def classify_two_cell_fp(fp: FaultPrimitive) -> Optional[CouplingFFM]:
     than one operation, non-faulty, or faulty behaviour not matching a
     victim flip).
     """
-    if not fp.is_faulty():
-        return None
     sos = fp.sos
     a_init = sos.init_value(AGGRESSOR)
     v_init = sos.init_value(VICTIM)
-    if a_init is None or v_init is None:
+    if a_init is None or v_init is None or not fp.is_faulty():
         return None
     if fp.faulty_value != 1 - v_init:
         return None

@@ -28,7 +28,7 @@ from ..circuit.bridges import BridgeDefect, BridgeLocation
 from ..circuit.defects import FloatingNode, OpenLocation
 from ..circuit.technology import Technology
 from ..core.analysis import ColumnFaultAnalyzer, default_grid_for
-from ..core.bridge_analysis import BridgeFaultAnalyzer, default_bridge_grid
+from ..core.coupling import two_cell_state_probes
 from ..core.fault_primitives import parse_sos
 from ..core.ffm import FFM
 from ..march.library import MARCH_C_MINUS, MARCH_PF_PLUS
@@ -73,11 +73,13 @@ def run_bridges(
     rows = []
     max_fraction = 0.0
     for location in BridgeLocation:
-        analyzer = BridgeFaultAnalyzer(
-            location, technology=technology,
-            grid=default_bridge_grid(n_r=n_r, n_u=n_u),
+        analyzer = ColumnFaultAnalyzer(
+            location, technology,
+            grid=default_grid_for(location, n_r, n_u),
         )
-        found = analyzer.survey(FloatingNode.BIT_LINE)
+        found = analyzer.survey(
+            FloatingNode.BIT_LINE, probes=two_cell_state_probes()
+        )
         findings[location] = found
         seen = set()
         for finding in found:

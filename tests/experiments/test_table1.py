@@ -74,6 +74,53 @@ class TestSubsetRun:
         assert "Open 4" in text
 
 
+#: Each paper row's agreement grade in the default full run, in
+#: ``PAPER_TABLE1`` order: (Sim. FFM, open(s), grade).  5 exact, 4 close,
+#: 4 family, 2 missing.
+PAPER_ROW_GRADES = [
+    ("RDF0", "1", "close"),
+    ("RDF0", "5", "exact"),
+    ("RDF0", "8", "family"),
+    ("RDF1", "3/4/5", "exact"),
+    ("RDF1", "8", "family"),
+    ("RDF1", "7", "family"),
+    ("DRDF1", "4", "family"),
+    ("IRF0", "8", "exact"),
+    ("IRF0", "9", "close"),
+    ("IRF1", "5", "exact"),
+    ("WDF1", "4", "missing"),
+    ("TF^", "1", "missing"),
+    ("TFv", "5", "exact"),
+    ("TFv", "9", "close"),
+    ("SF0", "9", "close"),
+]
+
+
+@pytest.fixture(scope="module")
+def full_grades():
+    """``[(Sim. FFM, open(s), grade)]`` of the default run's agreement
+    block, one entry per paper row."""
+    block = run_table1().report.blocks[-1]
+    assert block.startswith("Paper-row agreement:")
+    lines = block.splitlines()[3:]
+    return [(line.split()[0], line.split()[1], line.split()[-1])
+            for line in lines]
+
+
+def test_full_run_grades_every_paper_row(full_grades):
+    assert [row[:2] for row in full_grades] == [
+        row[:2] for row in PAPER_ROW_GRADES
+    ]
+
+
+@pytest.mark.parametrize(
+    "index", range(len(PAPER_ROW_GRADES)),
+    ids=[f"{ffm}-open{opens}" for ffm, opens, _ in PAPER_ROW_GRADES],
+)
+def test_full_run_paper_row_grade(full_grades, index):
+    assert full_grades[index] == PAPER_ROW_GRADES[index]
+
+
 @pytest.mark.skipif(
     multiprocessing.get_start_method() != "fork",
     reason="the injector reaches pool workers only through fork",

@@ -25,6 +25,7 @@ from hypothesis import given, settings
 
 from repro import telemetry
 from repro.campaign.corners import CornerMatrix
+from repro.circuit.bridges import BridgeDefect, BridgeLocation
 from repro.circuit.column import DRAMColumn, GridBatch
 from repro.circuit.defects import OpenDefect, OpenLocation
 from repro.circuit.network import (
@@ -197,6 +198,32 @@ def test_gridbatch_idle_equals_column_idle_bitwise(corner, seconds):
     for i, r in enumerate(r_values):
         for j, lane in enumerate(lanes):
             column = DRAMColumn(technology, defect=OpenDefect(location, r))
+            for k, name in enumerate(column.net.node_names):
+                column.net.set_voltage(name, lane[k])
+            column.idle(seconds)
+            assert np.array_equal(after[:, i, j], column.net.state_vector())
+
+
+@pytest.mark.parametrize("corner", sorted(CORNERS))
+@pytest.mark.parametrize("seconds", [1e-6, 0.1, 3.0])
+def test_gridbatch_idle_on_ground_bridge_tile_uses_each_points_r(
+    corner, seconds
+):
+    """A CELL_GROUND bridge leaks by its own resistance, so every member
+    of a bridge tile decays as the scalar column with that bridge."""
+    technology = CORNERS[corner]
+    location = BridgeLocation.CELL_GROUND
+    r_values = (1e3, 1e6, 1e9)
+    host = DRAMColumn(technology, defect=BridgeDefect(location, r_values[0]))
+    rng = np.random.default_rng(11)
+    n_nodes = len(host.net.node_names)
+    lanes = [rng.uniform(0.0, 3.3, size=n_nodes) for _ in range(3)]
+    batch = GridBatch.tile(host, r_values, lanes)
+    batch.idle(seconds)
+    after = batch.V.reshape(n_nodes, len(r_values), len(lanes))
+    for i, r in enumerate(r_values):
+        for j, lane in enumerate(lanes):
+            column = DRAMColumn(technology, defect=BridgeDefect(location, r))
             for k, name in enumerate(column.net.node_names):
                 column.net.set_voltage(name, lane[k])
             column.idle(seconds)
