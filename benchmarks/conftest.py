@@ -6,21 +6,11 @@ as the reproduction run.  Heavy experiments are benchmarked pedantically
 (one round) — the numbers of interest are the experiment outputs, not
 micro-timings.
 
-Telemetry is switched on for the whole benchmark session; when it ends,
-the per-benchmark wall times plus the final metrics snapshot are written
-to ``benchmarks/BENCH_telemetry.json`` so successive runs leave a
-machine-readable perf trajectory (solver settles, SOS executions, cache
-hit ratios, ...) next to the human-readable pytest-benchmark output.
+Telemetry is switched on for the whole benchmark session, so benchmarks
+can read solver and cache counters (``test_bench_sweep.py`` does).  The
+measured performance ledger is ``perfbench/`` (see its README), not this
+suite.
 """
-
-import json
-import os
-import time
-
-_TELEMETRY_OUT = os.path.join(os.path.dirname(__file__), "BENCH_telemetry.json")
-
-#: Wall time per benchmark, filled by :func:`run_once`.
-_BENCH_SECONDS = {}
 
 
 def pytest_configure(config):
@@ -30,32 +20,7 @@ def pytest_configure(config):
     telemetry.enable()
 
 
-def pytest_sessionfinish(session, exitstatus):
-    from repro import telemetry
-
-    telemetry.disable()
-    if not _BENCH_SECONDS:
-        return
-    registry = telemetry.get_metrics()
-    hits = registry.counter_value("analyzer.cache_hits")
-    misses = registry.counter_value("analyzer.cache_misses")
-    total = hits + misses
-    payload = {
-        "benchmarks": dict(sorted(_BENCH_SECONDS.items())),
-        "metrics": registry.snapshot(),
-        "derived": {
-            "analyzer.cache_hit_ratio": (hits / total) if total else None,
-        },
-        "spans": [sp.to_dict() for sp in telemetry.get_tracer().spans],
-    }
-    with open(_TELEMETRY_OUT, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-
-
 def run_once(benchmark, fn, *args, **kwargs):
     """Benchmark a heavy experiment with a single round."""
-    start = time.perf_counter()
-    result = benchmark.pedantic(fn, args=args, kwargs=kwargs,
-                                rounds=1, iterations=1)
-    _BENCH_SECONDS[benchmark.name] = round(time.perf_counter() - start, 3)
-    return result
+    return benchmark.pedantic(fn, args=args, kwargs=kwargs,
+                              rounds=1, iterations=1)

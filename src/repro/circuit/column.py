@@ -609,27 +609,31 @@ class DRAMColumn:
 class GridBatch:
     """Lock-step execution of one operation sequence over a (R_def × U) grid.
 
-    A ``GridBatch`` vectorizes both axes of a sweep tile: each *member* is
-    the same column topology with a different defect resistance (an open
-    or a bridge), and each
-    member carries all U *lanes* (initial states).
+    A ``GridBatch`` vectorizes both axes of a sweep tile: every *point*
+    ``(i, j)`` is the same column topology with defect resistance
+    ``r_values[i]`` (an open or a bridge) started from lane state ``j``
+    (a swept ``U``, a floating preset).  Results come back in those tile
+    coordinates: :meth:`read` and :meth:`logical_states` return
+    ``(len(r_values), n_lanes)`` arrays, and :attr:`demoted` names points.
     Internally the state is flat — one ``(n_nodes, n_points)`` matrix over
-    every surviving ``(member, lane)`` point — advanced with one
-    :meth:`NetworkEnsemble.run_grid_blocks` product per phase; sense-amp
-    decisions, buffer latching and read results are elementwise over the
-    points.
+    every surviving point — and sense-amp decisions, buffer latching and
+    read results are elementwise over the points.
+
+    Points are grouped into solver *members* that share one phase
+    configuration.  The host defect alone decides the layout.  Normally a
+    member is one ``R_def`` carrying every lane.  A word-line open puts
+    the resistance inside the nonlinear gate dynamics, and the lane's
+    floating gate charge starts it, so there every point is its own
+    width-1 member with a private
+    :class:`~repro.circuit.wordline.WordLineGate`, advanced once per phase
+    and instantiated as a per-member access connect.  Each phase is one
+    :meth:`NetworkEnsemble.run_grid` product over the members (a strided
+    view of the pool, no copy); a phase whose members fork goes through
+    :meth:`NetworkEnsemble.run_grid_blocks`, which runs the same core.
 
     The phase configuration comes from the host column's
     :meth:`DRAMColumn._phase_plan`: ``weighted`` plan entries are
     instantiated per member as ``base + R_def``, everything else is shared.
-    Word-line opens put the resistance inside the nonlinear gate dynamics,
-    so their members cannot share gate trajectories; they are accepted
-    only with ``member_gates`` — per-member private
-    :class:`~repro.circuit.wordline.WordLineGate` objects, advanced once
-    per phase and instantiated as per-member access connects
-    (:meth:`tile` then makes every grid *point* its own width-1 member,
-    since the gate trajectory depends on both ``R_def`` and the floating
-    ``U``).
 
     When the lanes of one member disagree on the sense-amp decision,
     nothing is demoted: the member *forks* into sub-groups by latch state
@@ -637,9 +641,9 @@ class GridBatch:
     sense-amp rail drive.  Per point the phase sequence is identical to
     what the scalar column would apply, so forking is pure execution
     strategy.  Only solver guard trips (``"guard"``) demote: the affected
-    member is sliced out of the point pool and recorded in :attr:`demoted`
-    by its original index, and the caller re-runs it through the scalar
-    path, which stays the bit-exact oracle.
+    member's points are sliced out of the pool and recorded in
+    :attr:`demoted`, and the caller re-runs them through the scalar path,
+    which stays the bit-exact oracle.
     """
 
     def __init__(
@@ -647,8 +651,6 @@ class GridBatch:
         column: DRAMColumn,
         r_values: Sequence[float],
         initial_states,
-        member_gates: Optional[Sequence[Dict[int, WordLineGate]]] = None,
-        point_lanes: Optional[Sequence[Sequence[int]]] = None,
         ens_cache: Optional[Dict[tuple, "NetworkEnsemble"]] = None,
         plan_cache: Optional[Dict[tuple, _PhasePlan]] = None,
         _ens_cache_max: int = _ENS_CACHE_MAX,
@@ -657,71 +659,58 @@ class GridBatch:
         defect = column.defect
         if not isinstance(defect, (OpenDefect, BridgeDefect)):
             raise ValueError("GridBatch requires a defective host column")
-        if defect.location is OpenLocation.WORD_LINE and member_gates is None:
-            raise ValueError(
-                "word-line opens put the defect resistance inside the gate "
-                "dynamics; pass per-member gates (member_gates) so each "
-                "member carries its own gate trajectory"
-            )
         self.column = column
         self.r_values = np.asarray(r_values, dtype=float)
         if self.r_values.ndim != 1 or self.r_values.size == 0:
             raise ValueError("r_values must be a non-empty 1-D sequence")
         n_nodes = len(column.net.node_names)
         V = np.array(initial_states, dtype=float)
-        members = self.r_values.size
+        n_r = self.r_values.size
         if V.ndim == 2:
             # One shared initial state per lane: the presets and floating
             # initializations do not depend on R_def.
-            V = np.broadcast_to(V, (members,) + V.shape).copy()
-        if V.ndim != 3 or V.shape[:2] != (members, n_nodes):
+            V = np.broadcast_to(V, (n_r,) + V.shape).copy()
+        if V.ndim != 3 or V.shape[:2] != (n_r, n_nodes):
             raise ValueError(
                 f"initial_states has shape {V.shape}; expected "
-                f"({members}, {n_nodes}, n_lanes)"
+                f"({n_r}, {n_nodes}, n_lanes)"
             )
         self.n_lanes = V.shape[2]
-        # Flat member-major point pool: point p = (member, lane) with
-        # member = _pt_member[p], lane = _pt_lane[p].  Demotion removes a
-        # member's whole contiguous lane run, so the pool always reshapes
-        # to (n_members, n_lanes) in member order.
+        # Flat point pool in tile order: point p = (_pt_row[p], _pt_lane[p])
+        # belongs to solver member _pt_member[p].  Demotion removes a
+        # member's whole contiguous run, so the pool always reshapes to
+        # (members, member width) in member order.
         self.V = np.concatenate(list(V), axis=1)
-        points = members * self.n_lanes
-        self._pt_member = np.repeat(np.arange(members), self.n_lanes)
-        if point_lanes is None:
-            self._pt_lane = np.tile(np.arange(self.n_lanes), members)
+        points = n_r * self.n_lanes
+        self._pt_row = np.repeat(np.arange(n_r), self.n_lanes)
+        self._pt_lane = np.tile(np.arange(self.n_lanes), n_r)
+        self._pt_r = self.r_values[self._pt_row]
+        #: The defect row's private per-member gates (word-line opens
+        #: only): member -> gate, starting at the host's gate charge.
+        self._gates: Dict[int, WordLineGate] = {}
+        self._gate_rows: Tuple[int, ...] = ()
+        if (
+            isinstance(defect, OpenDefect)
+            and defect.location is OpenLocation.WORD_LINE
+        ):
+            self._gate_rows = (defect.row,)
+            self._pt_member, self._width = np.arange(points), 1
+            v_gate = column.gate_voltage(defect.row)
+            self._gates = {
+                p: WordLineGate(column.tech.c_wl_gate, float(r), v_gate)
+                for p, r in enumerate(self._pt_r)
+            }
         else:
-            # Caller-defined lane identities (a word-line grid splits one
-            # logical U axis into width-1 members; fault targeting still
-            # needs each point's original U index).
-            self._pt_lane = np.asarray(point_lanes, dtype=int).reshape(-1)
-            if self._pt_lane.shape != (points,):
-                raise ValueError(
-                    f"point_lanes must hold {points} lane ids; got "
-                    f"{self._pt_lane.shape}"
-                )
-        self._pt_r = self.r_values[self._pt_member]
-        if member_gates is not None and len(member_gates) != members:
-            raise ValueError(
-                f"member_gates must have one entry per member "
-                f"({members}); got {len(member_gates)}"
-            )
-        #: original member index -> {row: private word-line gate}
-        self._member_gates: Dict[int, Dict[int, WordLineGate]] = (
-            {m: dict(gates) for m, gates in enumerate(member_gates)}
-            if member_gates is not None else {}
-        )
-        self._gate_rows: Tuple[int, ...] = tuple(sorted({
-            row for gates in self._member_gates.values() for row in gates
-        }))
-        #: original member index -> demotion reason ("guard"/...)
-        self.demoted: Dict[int, str] = {}
+            self._pt_member, self._width = self._pt_row, self.n_lanes
+        #: tile point (R index, lane index) -> demotion reason ("guard")
+        self.demoted: Dict[Tuple[int, int], str] = {}
         self._fired = np.zeros(points, dtype=bool)
         self._value = np.zeros(points, dtype=int)
         # Hot-path caches.  Host gates in a GridBatch are memoryless (zero
         # series resistance; a word-line open's stateful gate lives in
-        # _member_gates and is skipped via skip_gate_rows), so a phase plan
-        # depends only on its arguments.  Built ensembles are reused when
-        # the (plan, group structure) recurs — their propagators then come
+        # _gates and is skipped via _gate_rows), so a phase plan depends
+        # only on its arguments.  Built ensembles are reused when the
+        # (plan, group structure) recurs — their propagators then come
         # from the instance memo without touching the global caches.
         self._mp_cache: Optional[List[Tuple[int, np.ndarray]]] = None
         self._g1_cache: Optional[List[Tuple[Tuple, np.ndarray]]] = None
@@ -733,9 +722,10 @@ class GridBatch:
         )
         # Built-ensemble cache.  Keys are content-addressed (phase args +
         # pool bytes + latch bytes + gate connects), so a caller may share
-        # one dict across many batches — the analysis layer does this per
-        # analyzer, letting every operation sequence of a survey reuse the
-        # ensembles (and their propagator memos) of the previous ones.
+        # one dict across many batches of one column configuration — the
+        # analysis layer does this per analyzer, letting every operation
+        # sequence of a survey reuse the ensembles (and their propagator
+        # memos) of the previous ones.
         self._ens_cache: Dict[tuple, NetworkEnsemble] = (
             ens_cache if ens_cache is not None else {}
         )
@@ -758,54 +748,56 @@ class GridBatch:
         column: DRAMColumn,
         r_values: Sequence[float],
         lane_states: Sequence[np.ndarray],
-        gate_row: Optional[int] = None,
-        gate_inits: Sequence[float] = (),
         **kwargs,
     ) -> "GridBatch":
         """An ``(R_def × lane)`` tile over shared per-lane initial states.
 
         The initial states depend on the lane (a swept ``U``, a floating
         preset) but not on ``R_def``, so one state per lane serves every
-        resistance.  Without ``gate_row`` each ``R_def`` is one member
-        carrying every lane.  With it (word-line opens), the gate
-        trajectory depends on both ``R_def`` (charging resistance) and the
-        lane (initial gate charge ``gate_inits[j]``), so every point
-        becomes its own width-1 member with a private
-        :class:`~repro.circuit.wordline.WordLineGate` on ``gate_row``:
-        member ``i * n_lanes + j`` holds point ``(r_values[i], lane j)``.
-        ``kwargs`` go to the constructor (caches).
+        resistance.  ``kwargs`` go to the constructor (caches).
         """
-        if gate_row is None:
-            return cls(
-                column, tuple(r_values), np.stack(lane_states, axis=1),
-                **kwargs,
-            )
-        t = column.tech
-        n_lanes = len(lane_states)
-        member_r = tuple(float(r) for r in r_values for _ in range(n_lanes))
-        states = np.stack(
-            [lane_states[j] for _ in r_values for j in range(n_lanes)]
-        )[:, :, None]
-        member_gates = [
-            {gate_row: WordLineGate(t.c_wl_gate, float(r), gate_inits[j])}
-            for r in r_values for j in range(n_lanes)
-        ]
-        point_lanes = [[j] for _ in r_values for j in range(n_lanes)]
         return cls(
-            column, member_r, states, member_gates=member_gates,
-            point_lanes=point_lanes, **kwargs,
+            column, tuple(r_values), np.stack(lane_states, axis=1), **kwargs
         )
+
+    @classmethod
+    def floating_tile(
+        cls,
+        column: DRAMColumn,
+        r_values: Sequence[float],
+        u_values: Sequence[float],
+        data: Dict[int, int],
+        floating: Sequence[FloatingNode],
+        **kwargs,
+    ) -> "GridBatch":
+        """A tile whose lane ``j`` is the host column reset with ``data``
+        and every node of ``floating`` set to ``u_values[j]``.
+
+        Each lane also keeps the defect row's gate charge, which a
+        word-line open's private gates start from.  The host is left
+        reset with ``data``.  ``kwargs`` go to the constructor (caches).
+        """
+        lanes: List[np.ndarray] = []
+        gates: List[float] = []
+        row = column.defect.row if column.defect is not None else 0
+        for u in u_values:
+            column.reset(data)
+            for node in floating:
+                column.set_floating_voltage(node, u)
+            lanes.append(column.net.state_vector())
+            gates.append(column.gate_voltage(row))
+        column.reset(data)
+        batch = cls.tile(column, r_values, lanes, **kwargs)
+        for p, gate in batch._gates.items():
+            gate.voltage = gates[batch._pt_lane[p]]
+        return batch
 
     # -- member bookkeeping ----------------------------------------------------
 
     @property
     def n_members(self) -> int:
-        return len(self.active_members)
-
-    @property
-    def active_members(self) -> List[int]:
-        """Original indices of the members still in the pool, in order."""
-        return [m for m, _ in self._member_points()]
+        """Solver members still in the pool."""
+        return len(self._member_points())
 
     def _member_points(self) -> List[Tuple[int, np.ndarray]]:
         """``(original member, point indices)`` runs, cached per epoch.
@@ -827,12 +819,14 @@ class GridBatch:
         doomed = sorted({int(m) for m in members})
         if not doomed:
             return
-        for m in doomed:
-            self.demoted[m] = reason
         telemetry.count("column.grid_demotions", len(doomed))
-        keep = ~np.isin(self._pt_member, doomed)
+        gone = np.isin(self._pt_member, doomed)
+        for i, j in zip(self._pt_row[gone], self._pt_lane[gone]):
+            self.demoted[(int(i), int(j))] = reason
+        keep = ~gone
         self.V = self.V[:, keep]
         self._pt_member = self._pt_member[keep]
+        self._pt_row = self._pt_row[keep]
         self._pt_lane = self._pt_lane[keep]
         self._pt_r = self._pt_r[keep]
         self._fired = self._fired[keep]
@@ -851,10 +845,7 @@ class GridBatch:
         """
         if self.demoted:
             raise ValueError("cannot snapshot a batch with demoted members")
-        gates = {
-            m: {row: g.voltage for row, g in gs.items()}
-            for m, gs in self._member_gates.items()
-        }
+        gates = {m: gate.voltage for m, gate in self._gates.items()}
         return (self.V.copy(), self._fired.copy(), self._value.copy(), gates)
 
     def restore(self, snap: tuple) -> None:
@@ -871,22 +862,24 @@ class GridBatch:
         self.V = V.copy()
         self._fired = fired.copy()
         self._value = value.copy()
-        for m, gs in gates.items():
-            mine = self._member_gates[m]
-            for row, voltage in gs.items():
-                mine[row].voltage = voltage
+        for m, voltage in gates.items():
+            self._gates[m].voltage = voltage
 
-    def _rows(self, flat: np.ndarray) -> np.ndarray:
-        """Reshape a per-point vector to (n_members, n_lanes)."""
-        return flat.reshape(-1, self.n_lanes)
+    def _tile(self, flat: np.ndarray) -> np.ndarray:
+        """Scatter a per-point 0/1 vector to ``(len(r_values), n_lanes)``;
+        demoted points read ``-1``."""
+        out = np.full((self.r_values.size, self.n_lanes), -1)
+        out[self._pt_row, self._pt_lane] = flat
+        return out
 
     def _pool_key(self) -> tuple:
-        """Content hash of the surviving point pool (r values, members,
-        lanes) — two batches with the same pool produce identical phase
-        configurations for the same phase arguments."""
+        """Content hash of the surviving point pool (point resistances,
+        members, lanes) — two batches of one column configuration with
+        the same pool produce identical phase configurations for the same
+        phase arguments."""
         if self._pool_token is None:
             self._pool_token = (
-                self.r_values.tobytes(),
+                self._pt_r.tobytes(),
                 self._pt_member.tobytes(),
                 self._pt_lane.tobytes(),
             )
@@ -895,11 +888,10 @@ class GridBatch:
     # -- lane state ------------------------------------------------------------
 
     def logical_states(self, row: int) -> np.ndarray:
-        """Per-(member, lane) bit an ideal read of ``cell{row}`` returns."""
+        """Per-point bit an ideal read of ``cell{row}`` returns, as a
+        ``(len(r_values), n_lanes)`` array (``-1`` at demoted points)."""
         i_cell = self.column.net.node_index(f"cell{row}")
-        return self._rows(
-            (self.V[i_cell] > self.column.state_threshold).astype(int)
-        )
+        return self._tile(self.V[i_cell] > self.column.state_threshold)
 
     # -- sense-amp points ------------------------------------------------------
 
@@ -968,52 +960,38 @@ class GridBatch:
     ) -> None:
         col = self.column
         plan_args = (duration, active_row, precharge, sa_drive, write_value)
-        # _gate_rows joins the key: the same analyzer hands out one shared
-        # plan dict, but a floating-word-line batch skips the defect row's
-        # host gate while a plain batch does not.
-        plan_key = (plan_args, self._gate_rows)
-        plan = self._plan_cache.get(plan_key)
+        plan = self._plan_cache.get(plan_args)
         if plan is None:
             plan = col._phase_plan(*plan_args, skip_gate_rows=self._gate_rows)
-            self._plan_cache[plan_key] = plan
+            self._plan_cache[plan_args] = plan
         if self._pt_member.size == 0:
             return
         t = col.tech
-        # Per-member word-line gates advance exactly once per phase (the
-        # member may still fork into several groups below; they all share
-        # the member's gate trajectory).
-        gate_connects: Dict[int, List[Tuple[str, str, float]]] = {}
-        if self._member_gates:
-            wl_high = active_row is not None and not precharge
-            cells_node = col._seg_node["cells"]
-            for m, _ in self._member_points():
-                entries = []
-                for row, gate in self._member_gates[m].items():
-                    driven = (
-                        t.v_wl_on if (wl_high and row == active_row) else 0.0
-                    )
-                    mean_gate = gate.advance(driven, duration)
-                    factor = gate.conduction(
-                        mean_gate, t.v_threshold, t.v_wl_on
-                    )
-                    if factor > _MIN_CONDUCTION:
-                        entries.append(
-                            (f"cell{row}", cells_node, t.r_access / factor)
-                        )
-                if entries:
-                    gate_connects[m] = entries
         mp = self._member_points()
+        # Private word-line gates advance exactly once per phase; a
+        # conducting gate becomes its member's access connect.
+        gate_r: Dict[int, float] = {}
+        if self._gates:
+            (row,) = self._gate_rows
+            wl_high = active_row is not None and not precharge
+            driven = t.v_wl_on if (wl_high and row == active_row) else 0.0
+            for m, _ in mp:
+                gate = self._gates[m]
+                mean_gate = gate.advance(driven, duration)
+                factor = gate.conduction(mean_gate, t.v_threshold, t.v_wl_on)
+                if factor > _MIN_CONDUCTION:
+                    gate_r[m] = t.r_access / factor
         # Fork detection without materializing groups: a member forks only
         # when its lanes disagree on the effective latch state.  When all
-        # members are uniform (always true for width-1 pools), groups are
-        # exactly the member runs — in pool order with equal widths — so
-        # the solve can consume the point pool as one strided stack.
+        # members are uniform (always true for width-1 members), groups
+        # are exactly the member runs — in pool order with equal widths —
+        # so the solve can consume the point pool as one strided stack.
         uniform = True
-        fr = eff = None
-        if plan.sa_drive and self.n_lanes > 1:
-            fr = self._rows(self._fired)
-            eff = np.where(fr, self._rows(self._value), -1)
-            uniform = bool((eff == eff[:, :1]).all())
+        if plan.sa_drive:
+            fr = self._fired.reshape(-1, self._width)
+            eff = np.where(fr, self._value.reshape(-1, self._width), -1)
+            if self._width > 1:
+                uniform = bool((eff == eff[:, :1]).all())
         groups: Optional[List[Tuple[Tuple, np.ndarray]]] = None
         if uniform:
             n_groups = len(mp)
@@ -1027,34 +1005,16 @@ class GridBatch:
         # For a fixed pool the latch byte strings pin down both the fork
         # partition and each group's lanes; gate conduction factors
         # saturate after a few phases, so word-line ensembles recur too.
-        ens_key: tuple = (plan_args, self._gate_rows, self._pool_key())
+        ens_key: tuple = (plan_args, self._pool_key())
         if plan.sa_drive:
             ens_key += (self._fired.tobytes(), self._value.tobytes())
-        if gate_connects:
-            ens_key += (
-                tuple(sorted(
-                    (m, tuple(entries))
-                    for m, entries in gate_connects.items()
-                )),
-            )
+        if gate_r:
+            ens_key += (tuple(sorted(gate_r.items())),)
         ens = self._ens_cache.get(ens_key)
         if ens is None:
             if groups is None:
                 if not plan.sa_drive:
                     groups = self._groups(False)
-                elif self.n_lanes == 1:
-                    groups = [
-                        (
-                            (
-                                m,
-                                bool(self._fired[idx[0]]),
-                                int(self._value[idx[0]])
-                                if self._fired[idx[0]] else -1,
-                            ),
-                            idx,
-                        )
-                        for m, idx in mp
-                    ]
                 else:
                     groups = [
                         ((m, bool(fr[i, 0]), int(eff[i, 0])), idx)
@@ -1081,10 +1041,11 @@ class GridBatch:
                         ens.drive_member(g, node, volts, base + group_r[g])
                 else:
                     ens.drive(node, volts, base)
-            if gate_connects:
+            if gate_r:
+                cell, cells_node = f"cell{row}", col._seg_node["cells"]
                 for g, (key, _idx) in enumerate(groups):
-                    for a, b, r in gate_connects.get(int(key[0]), ()):
-                        ens.connect_member(g, a, b, r)
+                    if key[0] in gate_r:
+                        ens.connect_member(g, cell, cells_node, gate_r[key[0]])
             if plan.sa_drive:
                 for g, (key, _idx) in enumerate(groups):
                     _m, fired, value = key
@@ -1107,7 +1068,7 @@ class GridBatch:
                 n_nodes = self.V.shape[0]
                 width = self._pt_member.size // n_groups
                 v0 = self.V.reshape(n_nodes, n_groups, width).transpose(1, 0, 2)
-                result = ens.run_grid_array(duration, v0)
+                result = ens.run_grid(duration, v0)
                 self.V = np.asarray(result.voltages).transpose(1, 0, 2).reshape(
                     n_nodes, -1
                 )
@@ -1144,12 +1105,8 @@ class GridBatch:
         buf[latch] = np.where(dv[latch] > 0, t.vdd, 0.0)
 
     def read(self, row: int) -> np.ndarray:
-        """Apply one read to every member/lane; return the buffer values.
-
-        The returned ``(n_members, n_lanes)`` matrix covers the members
-        surviving *after* the read — align rows with
-        :attr:`active_members`.
-        """
+        """Apply one read to every point; return the buffer values as a
+        ``(len(r_values), n_lanes)`` array (``-1`` at demoted points)."""
         result = self._operation("r", row, None)
         assert result is not None
         return result
@@ -1205,12 +1162,8 @@ class GridBatch:
         self._update_buffer()
         self._phase(t.t_sense - t_strobe, active_row=row, sa_drive=True)
         read_result: Optional[np.ndarray] = None
-        members_at_read: List[int] = []
         if kind == "r":
-            read_result = self._rows(
-                (self.V[self._i_buf] > t.vdd / 2).astype(int)
-            )
-            members_at_read = self.active_members
+            read_result = self._tile(self.V[self._i_buf] > t.vdd / 2)
         if kind == "w":
             assert value is not None
             self._phase(
@@ -1222,11 +1175,9 @@ class GridBatch:
             )
             self._update_buffer()
         self._phase(t.t_wl_off, active_row=None)
-        if read_result is not None and members_at_read != self.active_members:
-            # The trailing wl_off phase demoted members after the buffer
-            # was sampled; realign the rows with the survivors.
-            surviving = set(self.active_members)
-            read_result = read_result[
-                [i for i, m in enumerate(members_at_read) if m in surviving]
-            ]
+        if read_result is not None:
+            # The trailing wl_off phase may demote points after the
+            # buffer was sampled.
+            for point in self.demoted:
+                read_result[point] = -1
         return read_result

@@ -785,10 +785,13 @@ def _expm_stack(ms: np.ndarray) -> np.ndarray:
 class GridResult(NamedTuple):
     """Result of :meth:`NetworkEnsemble.run_grid`/``run_grid_blocks``.
 
-    ``voltages`` is the full ``(n_members, n_nodes, n_lanes)`` stack
+    ``voltages`` is the advanced ``(n_members, n_nodes, n_lanes)`` stack
     (from :meth:`~NetworkEnsemble.run_grid`) or the list of per-member
-    ``(n_nodes, n_lanes_m)`` blocks (from
-    :meth:`~NetworkEnsemble.run_grid_blocks`).  Members listed in
+    ``(n_nodes, n_lanes_m)`` blocks in member order (from
+    :meth:`~NetworkEnsemble.run_grid_blocks`).  A fully floating or
+    zero-length phase returns the input values unchanged.  Both come out
+    of the same stacked core, so a block is bit-identical whichever
+    entry point advanced it.  Members listed in
     ``tripped`` (member index → guard name) hold unusable values and
     must be discarded: the ensemble never recovers a member in place —
     it reports the trip and lets the caller demote the member to the
@@ -923,36 +926,6 @@ class NetworkEnsemble:
 
     # -- propagators ----------------------------------------------------------
 
-    def _member_key(self, member: int, duration: float) -> tuple:
-        """The *scalar* phase signature of one member's merged config.
-
-        Identical to what :meth:`Network._phase_signature` would return
-        for a Network configured with this member's shared + specific
-        edges/drivers — this is the coherence contract with the scalar
-        cache.
-        """
-        edges = tuple(
-            sorted(
-                (ia, ib, r) if ia < ib else (ib, ia, r)
-                for ia, ib, r in self._shared_edges + self._member_edges[member]
-            )
-        )
-        drivers = tuple(
-            sorted(self._shared_drivers + self._member_drivers[member])
-        )
-        host = self._host
-        return (len(host._names), tuple(host._caps), edges, drivers, duration)
-
-    def _signature(self, duration: float) -> tuple:
-        """Canonical key of the whole ensemble configuration.
-
-        The tuple of member signatures pins down the ensemble exactly
-        (every edge/driver appears in its member's merged key), and
-        sharing the member-key form lets :meth:`_propagators` reuse the
-        per-member sorting work instead of doing it twice on a miss.
-        """
-        return (self._member_keys(duration),)
-
     def _member_keys(self, duration: float) -> tuple:
         """All members' scalar signatures with the shared parts hoisted."""
         host = self._host
@@ -1045,28 +1018,29 @@ class NetworkEnsemble:
     def run_grid(self, duration: float, v0_stack) -> GridResult:
         """Advance all members' state blocks through one phase at once.
 
-        ``v0_stack`` has shape ``(n_members, n_nodes, n_lanes)``.  The
-        result block of every member is bit-identical to what
-        :meth:`Network.run_batch` would produce for that member's merged
-        configuration (and therefore label-identical to per-lane
-        :meth:`Network.run`).  Guard rails are evaluated per member;
-        tripping members are reported in :attr:`GridResult.tripped`
-        rather than raising, so one pathological point never serializes
-        its tile.
+        ``v0_stack`` has shape ``(n_members, n_nodes, n_lanes)`` and is
+        taken as given — possibly a strided view of the caller's point
+        pool; only its shape is checked.  The result block of every
+        member is bit-identical to what :meth:`Network.run_batch` would
+        produce for that member's merged configuration (and therefore
+        label-identical to per-lane :meth:`Network.run`).  Guard rails are
+        evaluated per member; tripping members are reported in
+        :attr:`GridResult.tripped` rather than raising, so one
+        pathological point never serializes its tile.
         """
         if duration < 0:
             raise ValueError("duration must be non-negative")
-        v0 = np.array(v0_stack, dtype=float)
+        v0 = np.asarray(v0_stack, dtype=float)
         n = len(self._host._names)
         if v0.ndim != 3 or v0.shape[0] != self.n_members or v0.shape[1] != n:
             raise ValueError(
                 "v0_stack must be (n_members, n_nodes, n_lanes); got "
                 f"{v0.shape} for {self.n_members} members x {n} nodes"
             )
-        if self.n_members == 0 or n == 0 or duration == 0:
+        if v0.size == 0 or duration == 0:
             return GridResult(v0, {})
-        out, tripped = self._advance_stack(duration, v0)
-        return GridResult(np.asarray(out), tripped)
+        outs, tripped = self._advance(duration, [(range(self.n_members), v0)])
+        return GridResult(outs[0], tripped)
 
     def run_grid_blocks(self, duration: float, blocks) -> GridResult:
         """Ragged twin of :meth:`run_grid`: one ``(n_nodes, L_m)`` block
@@ -1074,16 +1048,16 @@ class NetworkEnsemble:
 
         This is the entry point the grid engine uses after forking
         members by sense-amp state — each fork carries only the lanes
-        that agree on the latch decision.  Per member the math is the
-        identical ``Phi @ V0 + phi`` matrix product, so results stay
-        bit-identical to :meth:`Network.run_batch` on the same columns.
+        that agree on the latch decision.  Blocks of equal width advance
+        together as one ``(k, n_nodes, L)`` stack through the
+        :meth:`run_grid` core, so results stay bit-identical to
+        :meth:`Network.run_batch` on the same columns.
         """
         if duration < 0:
             raise ValueError("duration must be non-negative")
         n = len(self._host._names)
         # asarray, not array: callers hand over freshly gathered blocks, so
-        # copying every phase would only burn the hot path.  (A fully
-        # floating phase returns the input blocks unchanged.)
+        # copying every phase would only burn the hot path.
         vs = [np.asarray(b, dtype=float) for b in blocks]
         if len(vs) != self.n_members:
             raise ValueError(
@@ -1097,194 +1071,121 @@ class NetworkEnsemble:
                 )
         if self.n_members == 0 or n == 0 or duration == 0:
             return GridResult(vs, {})
-        if len({b.shape[1] for b in vs}) == 1:
-            out3, tripped = self._advance_stack(duration, np.stack(vs))
-            return GridResult(list(out3), tripped)
-        out, tripped = self._advance_blocks(duration, vs)
-        return GridResult(out, tripped)
+        by_width: Dict[int, List[int]] = {}
+        for m, b in enumerate(vs):
+            by_width.setdefault(b.shape[1], []).append(m)
+        groups = [
+            (members, np.stack([vs[m] for m in members]))
+            for members in by_width.values()
+        ]
+        outs, tripped = self._advance(duration, groups)
+        for (members, _), out in zip(groups, outs):
+            for k, m in enumerate(members):
+                vs[m] = out[k]
+        return GridResult(vs, tripped)
 
-    def run_grid_array(self, duration: float, v0_stack: np.ndarray) -> GridResult:
-        """Hot twin of :meth:`run_grid`: takes the ``(M, n, L)`` stack as-is
-        (possibly a strided view of the caller's point pool) and returns the
-        advanced stack without copies or per-block validation.
-        """
-        if duration < 0:
-            raise ValueError("duration must be non-negative")
-        if self.n_members == 0 or v0_stack.size == 0 or duration == 0:
-            return GridResult(v0_stack, {})
-        out, tripped = self._advance_stack(duration, v0_stack)
-        return GridResult(out, tripped)
-
-    def _advance_stack(
-        self, duration: float, v0_stack: np.ndarray
-    ) -> Tuple[np.ndarray, Dict[int, str]]:
-        """Same-width core: one batched matmul over the ``(M, n, L)`` stack.
+    def _advance(
+        self, duration: float, groups: List[Tuple[Sequence[int], np.ndarray]]
+    ) -> Tuple[List[np.ndarray], Dict[int, str]]:
+        """The one grid solve core: advance ``(members, (k, n, L) stack)``
+        groups that together cover every member once, in member order
+        within each group.
 
         np.matmul on a 3-D stack runs the identical GEMM per slice, so the
         bits match per-member 2-D products (and therefore
-        :meth:`Network.run_batch`) exactly.
+        :meth:`Network.run_batch`) exactly.  Returns the advanced stacks
+        (in group order) and ``tripped`` keyed by member index.
         """
-        host = self._host
-        n = len(host._names)
         n_members = self.n_members
         if telemetry.enabled():
             telemetry.count("solver.grid_settles")
             telemetry.count("solver.grid_member_settles", n_members)
             telemetry.observe(
-                "solver.grid_lanes", n_members * v0_stack.shape[2]
+                "solver.grid_lanes",
+                sum(len(members) * v0.shape[2] for members, v0 in groups),
             )
         if not self._has_config():
             # Fully floating phase: every node holds its charge exactly.
             telemetry.count("solver.floating_skips")
-            return v0_stack, {}
+            return [v0 for _, v0 in groups], {}
         phis, offs, bad = self._propagators(duration)
-        out = np.matmul(phis, v0_stack) + offs[:, :, None]
-        if _FAULT_HOOK is not None:
-            for m in range(n_members):
-                if m in bad:
-                    continue
-                info = {
-                    "batch": True,
-                    "grid": True,
-                    "member": m,
-                    "n_nodes": n,
-                    "n_lanes": v0_stack.shape[2],
-                }
-                if self._member_meta is not None:
-                    info["member_r"] = self._member_meta[m]
-                if self._member_lanes is not None:
-                    info["lanes"] = self._member_lanes[m]
-                out[m] = np.asarray(_FAULT_HOOK(out[m], info), dtype=float)
-        tripped: Dict[int, str] = {}
-        for m, guard in bad.items():
-            tripped[m] = guard
-            self._count_trip(guard)
-        if not _GUARDS.nan_checks:
-            return out, tripped
-        # Batched guard checks: the same NaN/rail decisions
-        # Network._check_result makes, one reduction pass for the stack.
-        margin = _GUARDS.rail_margin
-        # Per-(member, lane) extrema carry everything the guards need:
-        # NaN/±Inf propagate into min/max, so finiteness can be read off
-        # them without a separate isfinite pass over the whole stack, and
-        # the rail hull comparison is per lane anyway.
-        omn = out.min(axis=1)
-        omx = out.max(axis=1)
-        finite = np.isfinite(omn).all(axis=1) & np.isfinite(omx).all(axis=1)
-        vlo, vhi = self._driver_hull()
-        lo = np.minimum(v0_stack.min(axis=1), vlo[:, None])
-        hi = np.maximum(v0_stack.max(axis=1), vhi[:, None])
-        # NaN comparisons are False either way; `finite` catches those.
-        railed = ((omn < lo - margin) | (omx > hi + margin)).any(axis=1)
-        if finite.all() and not railed.any():
-            return out, tripped
-        evicted_ensemble = False
-        for m in range(n_members):
-            if m in tripped:
-                continue
-            if not finite[m]:
-                guard = "nan"
-            elif railed[m]:
-                guard = "rail"
-            else:
-                continue
-            tripped[m] = guard
-            self._count_trip(guard)
-            # Never leave the propagator behind a tripped solve cached —
-            # neither the member's scalar entry nor the stacked block.
-            _PROPAGATORS.evict(self._member_key(m, duration))
-            if not evicted_ensemble:
-                evicted_ensemble = True
-                if self._global_cache:
-                    _ENSEMBLES.evict(self._signature(duration))
-                self._prop_memo.pop(duration, None)
-        return out, tripped
-
-    def _advance_blocks(
-        self, duration: float, v0_blocks: List[np.ndarray]
-    ) -> Tuple[List[np.ndarray], Dict[int, str]]:
-        """Ragged core of :meth:`run_grid_blocks`: lane counts differ, so
-        each member gets its own 2-D matrix product."""
-        host = self._host
-        n = len(host._names)
-        if telemetry.enabled():
-            telemetry.count("solver.grid_settles")
-            telemetry.count("solver.grid_member_settles", self.n_members)
-            telemetry.observe(
-                "solver.grid_lanes", sum(b.shape[1] for b in v0_blocks)
-            )
-        if not self._has_config():
-            # Fully floating phase: every node holds its charge exactly.
-            telemetry.count("solver.floating_skips")
-            return v0_blocks, {}
-        phis, offs, bad = self._propagators(duration)
-        v_t = [
-            phis[m] @ v0_blocks[m] + offs[m][:, None]
-            for m in range(self.n_members)
+        # A group holding every member holds them in order: no gather.
+        sels = [
+            slice(None) if len(members) == n_members else list(members)
+            for members, _ in groups
+        ]
+        outs = [
+            np.matmul(phis[sel], v0) + offs[sel][:, :, None]
+            for sel, (_, v0) in zip(sels, groups)
         ]
         if _FAULT_HOOK is not None:
-            for m in range(self.n_members):
+            # One hook call per member, in member order, with its own block.
+            slots = sorted(
+                (m, g, k)
+                for g, (members, _) in enumerate(groups)
+                for k, m in enumerate(members)
+            )
+            for m, g, k in slots:
                 if m in bad:
                     continue
                 info = {
                     "batch": True,
                     "grid": True,
                     "member": m,
-                    "n_nodes": n,
-                    "n_lanes": v0_blocks[m].shape[1],
+                    "n_nodes": outs[g].shape[1],
+                    "n_lanes": outs[g].shape[2],
                 }
                 if self._member_meta is not None:
                     info["member_r"] = self._member_meta[m]
                 if self._member_lanes is not None:
                     info["lanes"] = self._member_lanes[m]
-                v_t[m] = np.asarray(_FAULT_HOOK(v_t[m], info), dtype=float)
+                outs[g][k] = np.asarray(
+                    _FAULT_HOOK(outs[g][k], info), dtype=float
+                )
         tripped: Dict[int, str] = {}
         for m, guard in bad.items():
             tripped[m] = guard
             self._count_trip(guard)
         if not _GUARDS.nan_checks:
-            return v_t, tripped
-        # Per-member guard checks: the same NaN/rail decisions
-        # Network._check_result makes.
+            return outs, tripped
+        # Batched guard checks: the same NaN/rail decisions
+        # Network._check_result makes, one reduction pass per stack.
         margin = _GUARDS.rail_margin
-        guards: List[Optional[str]] = []
-        shared_v = [v for _, v, _ in self._shared_drivers]
-        for m in range(self.n_members):
-            if m in tripped:
-                guards.append(None)
+        vlo, vhi = self._driver_hull()
+        diverged: Dict[int, str] = {}
+        for sel, (members, v0), out in zip(sels, groups, outs):
+            # Per-(member, lane) extrema carry everything the guards need:
+            # NaN/±Inf propagate into min/max, so finiteness can be read
+            # off them without a separate isfinite pass over the whole
+            # stack, and the rail hull comparison is per lane anyway.
+            omn = out.min(axis=1)
+            omx = out.max(axis=1)
+            finite = np.isfinite(omn).all(axis=1) & np.isfinite(omx).all(axis=1)
+            lo = np.minimum(v0.min(axis=1), vlo[sel][:, None])
+            hi = np.maximum(v0.max(axis=1), vhi[sel][:, None])
+            # NaN comparisons are False either way; `finite` catches those.
+            railed = ((omn < lo - margin) | (omx > hi + margin)).any(axis=1)
+            if finite.all() and not railed.any():
                 continue
-            block = v_t[m]
-            if not np.isfinite(block).all():
-                guards.append("nan")
-                continue
-            lo = v0_blocks[m].min(axis=0)
-            hi = v0_blocks[m].max(axis=0)
-            volts = shared_v + [v for _, v, _ in self._member_drivers[m]]
-            if volts:
-                lo = np.minimum(lo, min(volts))
-                hi = np.maximum(hi, max(volts))
-            if (
-                (block < (lo - margin)[None, :]).any()
-                or (block > (hi + margin)[None, :]).any()
-            ):
-                guards.append("rail")
-            else:
-                guards.append(None)
-        evicted_ensemble = False
-        for m, guard in enumerate(guards):
-            if guard is None or m in tripped:
-                continue
-            tripped[m] = guard
-            self._count_trip(guard)
+            for k, m in enumerate(members):
+                if m in tripped:
+                    continue
+                if not finite[k]:
+                    diverged[m] = "nan"
+                elif railed[k]:
+                    diverged[m] = "rail"
+        if diverged:
             # Never leave the propagator behind a tripped solve cached —
-            # neither the member's scalar entry nor the stacked block.
-            _PROPAGATORS.evict(self._member_key(m, duration))
-            if not evicted_ensemble:
-                evicted_ensemble = True
-                if self._global_cache:
-                    _ENSEMBLES.evict(self._signature(duration))
-                self._prop_memo.pop(duration, None)
-        return v_t, tripped
+            # neither the members' scalar entries nor the stacked block.
+            member_keys = self._member_keys(duration)
+            for m in sorted(diverged):
+                tripped[m] = diverged[m]
+                self._count_trip(diverged[m])
+                _PROPAGATORS.evict(member_keys[m])
+            if self._global_cache:
+                _ENSEMBLES.evict((member_keys,))
+            self._prop_memo.pop(duration, None)
+        return outs, tripped
 
     def _driver_hull(self) -> Tuple[np.ndarray, np.ndarray]:
         """Per-member (min, max) driver voltages, cached until a mutation.

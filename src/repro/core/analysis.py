@@ -580,33 +580,17 @@ class ColumnFaultAnalyzer:
         read_value = last_victim_read if sos.ends_in_read else None
         return faulty_value, read_value
 
-    def _wordline_grid(self, floating: Tuple[FloatingNode, ...]) -> bool:
-        """Whether this sweep needs per-point word-line gate tracking.
-
-        Word-line opens put the defect resistance inside the nonlinear
-        gate dynamics, and the swept ``U`` initializes the gate itself:
-        every ``(R_def, U)`` point has its own gate trajectory.  The grid
-        engine then makes each point a width-1 ensemble member carrying a
-        private :class:`~repro.circuit.wordline.WordLineGate` instead of
-        stacking one member per ``R_def``.
-        """
-        return (
-            self.location is OpenLocation.WORD_LINE
-            or FloatingNode.WORD_LINE in floating
-        )
-
     def _execute_grid(
         self, sos: SOS, r_values: Sequence[float],
         u_values: Sequence[float], floating: Tuple[FloatingNode, ...],
     ) -> Tuple[Dict[int, List[Tuple[int, Optional[int]]]], Dict[int, str]]:
         """Run one SOS over a whole ``(R_def, U)`` tile in lock-step.
 
-        Returns ``(outcomes, demoted)``: ``outcomes`` maps each surviving
-        member index (position in ``r_values``) to its per-lane ``(F, R)``
-        list; ``demoted`` maps members the grid could not finish (lane
-        disagreement on the sense-amp decision, solver guard trips) to the
-        demotion reason — the caller re-runs those per point through the
-        scalar oracle.
+        Returns ``(outcomes, demoted)``: ``outcomes`` maps each finished
+        row (position in ``r_values``) to its per-lane ``(F, R)`` list;
+        ``demoted`` maps rows with a point the grid could not finish
+        (solver guard trips) to the demotion reason — the caller re-runs
+        those rows per point through the scalar oracle.
         """
         global _CURRENT_POINT
         _CURRENT_POINT = {
@@ -625,7 +609,6 @@ class ColumnFaultAnalyzer:
         telemetry.count("analyzer.grid_tiles")
         init_via_write = FloatingNode.CELL in floating
         data = self._preset_data(sos, init_via_write)
-        wl_grid = self._wordline_grid(floating)
         # The state-mutating step list: victim init writes (when the cell
         # itself floats), then the operations; an empty sequence still
         # runs the state probe's precharge cycles like the scalar path.
@@ -654,10 +637,9 @@ class ColumnFaultAnalyzer:
         entry = (
             None if hook_active else self._grid_prefix_cache.get(base_key)
         )
-        last_victim_read: Optional[Tuple[List[int], np.ndarray]] = None
+        last_victim_read: Optional[np.ndarray] = None
         if entry is not None:
             batch = entry["batch"]
-            gate_row = entry["gate_row"]
             self._grid_prefix_cache.move_to_end(base_key)
             # Resume from the longest snapshotted prefix of the step list
             # (possibly all of it, when the same SOS recurs on the tile).
@@ -674,32 +656,15 @@ class ColumnFaultAnalyzer:
             telemetry.count("analyzer.grid_prefix_reuses")
             telemetry.count("analyzer.grid_prefix_steps_skipped", start_k)
         else:
-            column = self.make_column(r_values[0])
-            gate_row = (
-                column.defect.row
-                if wl_grid and column.defect is not None else None
-            )
-            # The initial states depend on U (and the presets) but not on
-            # R_def, so one lane stack serves every member.
-            lanes = []
-            gate_inits: List[float] = []
-            for u in u_values:
-                column.reset(data)
-                for node in floating:
-                    column.set_floating_voltage(node, u)
-                lanes.append(column.net.state_vector())
-                if gate_row is not None:
-                    gate_inits.append(column.gate_voltage(gate_row))
-            column.reset(data)
-            batch = GridBatch.tile(
-                column, r_values, lanes, gate_row, gate_inits,
-                ens_cache=self._grid_ens_cache,
+            batch = GridBatch.floating_tile(
+                self.make_column(r_values[0]), r_values, u_values, data,
+                floating, ens_cache=self._grid_ens_cache,
                 plan_cache=self._grid_plan_cache,
             )
             start_k = 0
             if not hook_active:
                 entry = {
-                    "batch": batch, "gate_row": gate_row,
+                    "batch": batch,
                     "snap0": (batch.snapshot(), None),
                     "snaps": OrderedDict(),
                 }
@@ -714,7 +679,7 @@ class ColumnFaultAnalyzer:
             elif step[0] == "r":
                 result = batch.read(step[1])
                 if step[2]:
-                    last_victim_read = (batch.active_members, result)
+                    last_victim_read = result
             else:
                 batch.precharge_cycle()
             if store_snaps:
@@ -732,60 +697,28 @@ class ColumnFaultAnalyzer:
                         snaps.popitem(last=False)
         if entry is not None and batch.demoted:
             self._grid_prefix_cache.pop(base_key, None)
-        faulty = batch.logical_states(self.victim_row)
-        read_of: Dict[int, np.ndarray] = {}
-        if sos.ends_in_read and last_victim_read is not None:
-            members_at_read, reads = last_victim_read
-            read_of = {m: reads[j] for j, m in enumerate(members_at_read)}
-        outcomes: Dict[int, List[Tuple[int, Optional[int]]]] = {}
-        if gate_row is not None:
-            # Width-1 members: member i*n_u + j holds point (r_i, u_j).
-            # The caller's contract is per-R rows, so a row is returned
-            # only when every one of its points survived; a row with any
-            # demoted point re-runs scalar as a whole (guard trips only,
-            # and the scalar re-run re-applies quarantine per point).
-            n_u = len(u_values)
-            point_f = {
-                m: int(faulty[j][0])
-                for j, m in enumerate(batch.active_members)
-            }
-            demoted_rows: Dict[int, str] = {}
-            for i in range(len(r_values)):
-                members = [i * n_u + j for j in range(n_u)]
-                if all(m in point_f for m in members):
-                    outcomes[i] = [
-                        (
-                            point_f[m],
-                            int(read_of[m][0]) if sos.ends_in_read else None,
-                        )
-                        for m in members
-                    ]
-                else:
-                    reasons = [
-                        batch.demoted[m] for m in members
-                        if m in batch.demoted
-                    ]
-                    demoted_rows[i] = reasons[0] if reasons else "divergence"
-            telemetry.count(
-                "analyzer.sos_executions", len(outcomes) * len(u_values)
-            )
-            return outcomes, demoted_rows
-        for j, member in enumerate(batch.active_members):
-            reads_row = read_of.get(member) if sos.ends_in_read else None
-            outcomes[member] = [
-                (
-                    int(faulty[j][k]),
-                    int(reads_row[k]) if reads_row is not None else None,
-                )
-                for k in range(len(u_values))
-            ]
-        # Counted on success only, per surviving member: demoted members
-        # re-run scalar, and the scalar path does its own counting (keeps
-        # executions == misses).
-        telemetry.count(
-            "analyzer.sos_executions", batch.n_members * len(u_values)
+        # The caller's contract is per-R rows, so a row is returned only
+        # when every one of its points survived; a row with any demoted
+        # point re-runs scalar as a whole (guard trips only, and the
+        # scalar re-run re-applies quarantine per point).
+        n_u = len(u_values)
+        demoted: Dict[int, str] = {}
+        for (i, _), reason in sorted(batch.demoted.items()):
+            demoted.setdefault(i, reason)
+        faulty = batch.logical_states(self.victim_row).tolist()
+        reads = (
+            last_victim_read.tolist()
+            if sos.ends_in_read and last_victim_read is not None
+            else [[None] * n_u] * len(r_values)
         )
-        return outcomes, dict(batch.demoted)
+        outcomes: Dict[int, List[Tuple[int, Optional[int]]]] = {
+            i: list(zip(faulty[i], reads[i]))
+            for i in range(len(r_values)) if i not in demoted
+        }
+        # Counted on success only: demoted rows re-run scalar, and the
+        # scalar path does its own counting (keeps executions == misses).
+        telemetry.count("analyzer.sos_executions", len(outcomes) * n_u)
+        return outcomes, demoted
 
     def observe_grid(
         self, sos: SOS, r_values: Sequence[float],

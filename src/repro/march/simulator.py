@@ -227,14 +227,13 @@ def run_march_grid(
     ``run_march(test, preset_memory(OpenDefect(location, r_values[i]),
     presets[j], ...))`` returns — same mismatches, same operation count —
     but every point advances in lock-step on one
-    :class:`~repro.circuit.column.GridBatch`: members are the
-    resistances, lanes the presets (word-line opens make every point a
-    width-1 member with a private gate).  Reads come back per point and
+    :class:`~repro.circuit.column.GridBatch` tile: rows are the
+    resistances, lanes the presets.  Reads come back per point and
     are checked against the expected value afterwards; under
     ``stop_at_first`` a point keeps its first mismatch and the operation
     count at that read, and the tile ends once every point has one.
 
-    Members a solver guard trip demotes re-run per point through scalar
+    Points a solver guard trip demotes re-run one by one through scalar
     :func:`run_march`, which stays the oracle (it raises the same
     :class:`~repro.errors.SolverDivergenceError` a scalar screen would).
     ``memo`` shares phase plans and built ensembles across tiles of the
@@ -247,31 +246,14 @@ def run_march_grid(
         return [[] for _ in r_values]
     memo = memo if memo is not None else TileMemo()
     memo.bind((location, technology, n_rows))
-    column = DRAMColumn(
-        technology, n_rows=n_rows, defect=OpenDefect(location, r_values[0])
-    )
-    row = column.defect.row
-    lanes: List[np.ndarray] = []
-    gate_inits: List[float] = []
-    for preset in presets:
-        column.reset({})
-        for node in FloatingNode:
-            column.set_floating_voltage(node, preset)
-        lanes.append(column.net.state_vector())
-        gate_inits.append(column.gate_voltage(row))
-    column.reset({})
-    wl = location is OpenLocation.WORD_LINE
-    batch = GridBatch.tile(
-        column, r_values, lanes, row if wl else None, gate_inits,
+    batch = GridBatch.floating_tile(
+        DRAMColumn(
+            technology, n_rows=n_rows, defect=OpenDefect(location, r_values[0])
+        ),
+        r_values, presets, {}, tuple(FloatingNode),
         ens_cache=memo.ensembles, plan_cache=memo.plans,
         _ens_cache_max=_TILE_ENSEMBLES, _global_ensembles=False,
     )
-
-    def points_of(member: int) -> List[Tuple[int, int]]:
-        if wl:
-            return [divmod(member, n_p)]
-        return [(member, j) for j in range(n_p)]
-
     fails: List[List[List[Mismatch]]] = [
         [[] for _ in range(n_p)] for _ in range(n_r)
     ]
@@ -298,27 +280,23 @@ def run_march_grid(
             bad = np.argwhere(observed != value)
             if not bad.size:
                 continue
-            members = batch.active_members
-            for k, lane in bad:
-                m = members[k]
-                point = divmod(m, n_p) if wl else (m, int(lane))
-                if point in stopped:
+            for i, j in bad.tolist():
+                if (i, j) in stopped or (i, j) in batch.demoted:
                     continue
-                fails[point[0]][point[1]].append(Mismatch(
-                    ei, address, oi, value, int(observed[k, lane]),
+                fails[i][j].append(Mismatch(
+                    ei, address, oi, value, int(observed[i, j]),
                 ))
                 if stop_at_first:
-                    stopped[point] = (operations, ei + 1)
-            if stop_at_first:
-                settled = set(stopped)
-                for m in batch.demoted:
-                    settled.update(points_of(m))
-                if len(settled) == n_r * n_p:
-                    return operations, ei + 1
+                    stopped[(i, j)] = (operations, ei + 1)
+            if (
+                stop_at_first
+                and len(stopped.keys() | batch.demoted.keys()) == n_r * n_p
+            ):
+                return operations, ei + 1
         return operations, len(test.elements)
 
     operations, elements = execute()
-    demoted = {p for m in batch.demoted for p in points_of(m)}
+    demoted = set(batch.demoted)
     results: List[List[MarchResult]] = []
     n_runs = total_ops = total_elements = 0
     for i in range(n_r):

@@ -4,14 +4,17 @@ Four layers are pinned here:
 
 * :func:`repro.circuit.network._expm_stack` produces bit-identical
   exponentials to the scalar :func:`~repro.circuit.network._expm`;
-* :meth:`NetworkEnsemble.run_grid` reproduces per-member
+* :meth:`NetworkEnsemble.run_grid` and its ragged twin
+  :meth:`~NetworkEnsemble.run_grid_blocks` reproduce per-member
   :meth:`Network.run_batch` solves bit-exactly (shared propagator
-  cache, stacked matmul) — as a Hypothesis property over random
-  topologies, member resistances and initial states;
+  cache, stacked matmul) — as Hypothesis properties over random
+  topologies, member resistances, lane counts and initial states;
 * sense-amp lane disagreement *forks* a :class:`GridBatch` member
   instead of demoting it, and the resulting region map is identical to
   the scalar analyzer's — including the word-line grid, whose points
-  carry private gates;
+  carry private gates, and a floating word line on every other open,
+  whose points must not; a Hypothesis differential covers all nine
+  opens at nominal and at the stress corners;
 * only members whose solves actually trip a guard are demoted, and the
   demoted members re-run through the scalar path.
 
@@ -20,10 +23,12 @@ round-trip the mutable state, and a replayed prefix yields the same
 observations as a cold execution.
 """
 
+import math
+
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from repro import telemetry
 from repro.circuit.defects import FloatingNode, OpenLocation
@@ -35,9 +40,14 @@ from repro.circuit.network import (
     propagator_cache_clear,
     _install_solver_fault_hook,
 )
-from repro.core.analysis import ColumnFaultAnalyzer, default_grid_for
+from repro.core.analysis import (
+    PROBE_SOSES,
+    _R_RANGES,
+    ColumnFaultAnalyzer,
+    default_grid_for,
+)
 from repro.core.fault_primitives import parse_sos
-from tests.march.test_march_grid import CORNERS
+from tests.march.test_march_grid import CORNERS, NOMINAL
 
 
 @pytest.fixture(autouse=True)
@@ -145,6 +155,78 @@ def test_run_grid_blocks_ragged_matches_same_width(case):
         )
 
 
+@st.composite
+def ragged_cases(draw):
+    """An ensemble case whose members each carry their own lane count
+    (at least two distinct counts), plus one member to poison."""
+    n, caps, _, shared, edge, _, drive_v, duration = draw(ensemble_cases())
+    widths = draw(
+        st.lists(st.integers(1, 4), min_size=2, max_size=4)
+        .filter(lambda ws: len(set(ws)) > 1)
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 31 - 1)))
+    blocks = [rng.uniform(0.0, 3.3, size=(n, w)) for w in widths]
+    member_r = rng.uniform(1e3, 1e7, size=len(widths))
+    target = draw(st.integers(0, len(widths) - 1))
+    return (n, caps, blocks, shared, edge, member_r, drive_v, duration,
+            target)
+
+
+@settings(max_examples=30, deadline=None)
+@given(ragged_cases())
+def test_run_grid_blocks_with_ragged_widths_matches_run_batch(case):
+    """Blocks of different widths advance through the stacked core, yet
+    every member's block equals its own :meth:`Network.run_batch` bit for
+    bit; a NaN injected into one member trips only that member (reported
+    under its own index) and leaves every other block bit-identical."""
+    (n, caps, blocks, shared, (di, dj), member_r, drive_v, duration,
+     target) = case
+    names = _nodes(n)
+    host = _build_host(n, caps)
+    ens = NetworkEnsemble(host, len(member_r), member_meta=list(member_r))
+    for i, j, r in shared:
+        ens.connect(names[i], names[j], r)
+    ens.drive(names[0], drive_v, 2e3)
+    for m, r in enumerate(member_r):
+        ens.connect_member(m, names[di], names[dj], float(r))
+    clean = ens.run_grid_blocks(duration, blocks)
+    assert clean.tripped == {}
+    for m, r in enumerate(member_r):
+        ref = _build_host(n, caps)
+        for i, j, rr in shared:
+            ref.connect(names[i], names[j], rr)
+        ref.drive(names[0], drive_v, 2e3)
+        ref.connect(names[di], names[dj], float(r))
+        expected = ref.run_batch(duration, blocks[m])
+        assert np.array_equal(np.asarray(clean.voltages[m]), expected)
+
+    seen = []
+
+    def poison_target(voltages, info):
+        seen.append((info["member"], info["member_r"], info["n_lanes"]))
+        if info["member"] == target:
+            out = np.array(voltages)
+            out[0, 0] = np.nan
+            return out
+        return voltages
+
+    _install_solver_fault_hook(poison_target)
+    try:
+        poisoned = ens.run_grid_blocks(duration, blocks)
+    finally:
+        _install_solver_fault_hook(None)
+    assert seen == [
+        (m, member_r[m], block.shape[1]) for m, block in enumerate(blocks)
+    ]
+    assert poisoned.tripped == {target: "nan"}
+    for m in range(len(member_r)):
+        if m != target:
+            assert np.array_equal(
+                np.asarray(poisoned.voltages[m]),
+                np.asarray(clean.voltages[m]),
+            )
+
+
 def test_floating_ensemble_holds_charge():
     host = _build_host(3, [1e-13, 2e-13, 3e-13])
     ens = NetworkEnsemble(host, 2)
@@ -201,6 +283,13 @@ def _labels(analyzer, sos, floating, grid):
         # technology cannot pass.
         (OpenLocation.SENSE_AMPLIFIER, FloatingNode.REFERENCE_CELL, "1r1"),
         (OpenLocation.WORD_LINE, FloatingNode.WORD_LINE, "0r0"),
+        # A floating word line on any other open is inert (its gate has
+        # no series resistance), so the grid must not give these points
+        # private gates.
+        (OpenLocation.CELL, FloatingNode.WORD_LINE, "0r0"),
+        (OpenLocation.CELL, FloatingNode.WORD_LINE, "1w0r0"),
+        (OpenLocation.BL_PRECHARGE_CELLS, FloatingNode.WORD_LINE, "0w1"),
+        (OpenLocation.PRECHARGE, FloatingNode.WORD_LINE, "0r0"),
     ],
 )
 def test_region_map_grid_equals_scalar(location, floating, sos_text):
@@ -218,6 +307,54 @@ def test_region_map_grid_equals_scalar(location, floating, sos_text):
         assert _labels(scalar, sos, floating, grid) == _labels(
             gridded, sos, floating, grid
         ), corner
+
+
+@st.composite
+def analyzer_tiles(draw):
+    """An open, one of its sweep plans (or a floating word line), a probe
+    SOS, and a small (R, U) tile inside the open's sweep window."""
+    location = draw(st.sampled_from(list(OpenLocation)))
+    plans = ColumnFaultAnalyzer(location).sweep_plans() + (
+        (FloatingNode.WORD_LINE,),
+    )
+    plan = draw(st.sampled_from(plans))
+    sos = parse_sos(draw(st.sampled_from(PROBE_SOSES)))
+    lo, hi = _R_RANGES[location]
+    r_values = draw(st.lists(
+        st.floats(math.log10(lo), math.log10(hi)).map(lambda x: 10 ** x),
+        min_size=2, max_size=4, unique=True,
+    ))
+    u_values = draw(st.lists(
+        st.floats(0.0, NOMINAL.vdd), min_size=2, max_size=4, unique=True,
+    ))
+    return location, plan, sos, r_values, u_values
+
+
+@settings(max_examples=50, deadline=None)
+@given(analyzer_tiles())
+# Open 9's state probe: the floating gate alone decides the label.
+@example((OpenLocation.WORD_LINE, (FloatingNode.WORD_LINE,), parse_sos("0"),
+          [1e7, 1e8, 1e9], [0.0, 1.2, 3.3]))
+# Open 7's write forks members on the latch decision (ragged blocks of
+# 1, 3 and 4 lanes).
+@example((OpenLocation.SENSE_AMPLIFIER, (FloatingNode.REFERENCE_CELL,),
+          parse_sos("0w1"), [3e3, 3e5, 3e7], [0.0, 1.1, 2.2, 3.3]))
+def test_observe_grid_equals_scalar_at_stress_corners(tile):
+    """The tiled analyzer labels every point of every open exactly as the
+    scalar oracle does, at nominal, vdd x0.9 and 85 C."""
+    location, plan, sos, r_values, u_values = tile
+
+    def labels(technology, grid_engine):
+        analyzer = ColumnFaultAnalyzer(
+            location, technology=technology, grid_engine=grid_engine
+        )
+        return [
+            [(obs.fp, obs.ffm) for obs in row]
+            for row in analyzer.observe_grid(sos, r_values, u_values, plan)
+        ]
+
+    for corner, technology in sorted(CORNERS.items()):
+        assert labels(technology, True) == labels(technology, False), corner
 
 
 def test_lane_disagreement_forks_instead_of_demoting():

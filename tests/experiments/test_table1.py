@@ -16,6 +16,7 @@ from repro.experiments.table1 import (
 )
 from repro.inject import SolverNaNInjector
 from repro.parallel import Resilience
+from tests.experiments.test_golden_reports import golden, rendered
 
 
 @pytest.fixture(scope="module")
@@ -97,10 +98,17 @@ PAPER_ROW_GRADES = [
 
 
 @pytest.fixture(scope="module")
-def full_grades():
+def default_run():
+    """The default ``run_table1()``, shared by the grade and golden
+    checks so the module runs it once."""
+    return run_table1()
+
+
+@pytest.fixture(scope="module")
+def full_grades(default_run):
     """``[(Sim. FFM, open(s), grade)]`` of the default run's agreement
     block, one entry per paper row."""
-    block = run_table1().report.blocks[-1]
+    block = default_run.report.blocks[-1]
     assert block.startswith("Paper-row agreement:")
     lines = block.splitlines()[3:]
     return [(line.split()[0], line.split()[1], line.split()[-1])
@@ -119,6 +127,10 @@ def test_full_run_grades_every_paper_row(full_grades):
 )
 def test_full_run_paper_row_grade(full_grades, index):
     assert full_grades[index] == PAPER_ROW_GRADES[index]
+
+
+def test_report_matches_golden(default_run):
+    assert rendered(default_run.report) == golden("table1")
 
 
 @pytest.mark.skipif(
